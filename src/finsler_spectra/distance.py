@@ -1,24 +1,44 @@
 """Anisotropic distance to the boundary, inradius, and two-shape packing.
 
-The distance of an interior node x is min over boundary nodes y of
-F_polar(x - y), computed by brute force against the explicit boundary-node
-list: exact at grid resolution and trivially correct, which is what the
-eigenvalue limit checks need.
+The distance of an interior node x is min over boundary-ring nodes y of
+F_polar(x - y).  The polar norm of every family is a Minkowski p-norm after
+a coordinate scale (`norms.minkowski_frame`), so a `scipy.spatial.cKDTree`
+over the scaled ring nodes finds each node's nearest ring node in
+O(log N).  The tree's own arithmetic may differ from `eval_norm` in the
+last bits, so it only selects candidates: every ring node within the tree
+distance times (1 + _SLACK) is kept, and the reported value is the minimum
+of `eval_norm` over them.  The true minimizer is always among them, so the
+field is bit-identical to the all-pairs minimum.  The ridge spread of the
+eikonal check selects its near-minimizers the same way.
+
+`sup_rayleigh` maximizes a quotient over all node pairs by branch and bound:
+a lower bound L comes from short pairs, the nodes are split into value
+bands, and a pair (i, j) with j in a band of minimum value a can only beat
+L if F_polar(x_i - x_j) < (v_i - a) / L.  Only the pairs inside those
+radii are scored, with the all-pairs expression, so the maximum is exact.
 """
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
+from itertools import chain
 from typing import Tuple
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
+from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from .fem import ScalarField, triangle_gradients
 from .geometry import DomainGrid
-from .norms import NormSpec, eval_norm, eval_norm_sq, polar, polar_eval
+from .norms import NormSpec, eval_norm, eval_norm_sq, linear_bounds, minkowski_frame, polar
 
-_CHUNK = 2048           # interior nodes per brute-force block
+log = logging.getLogger(__name__)
+
+_CHUNK = 2048           # rows per block of the pairwise polar diameter
 _PAIRWISE_DIRECT = 600  # below this many points skip the hull
+# relative widening of tree radii, far above the rounding gap between the
+# tree's distances and eval_norm, so no exact candidate is lost
+_SLACK = 1e-9
+_BANDS = 24             # value-quantile bands of the sup-Rayleigh bound
 
 
 @dataclass(frozen=True)
@@ -46,20 +66,29 @@ class PackingResult:
     norm: NormSpec
 
 
+def _ball_pairs(tree: cKDTree, pts: np.ndarray, radius, p: float):
+    """(row, col) index arrays of the tree points within radius of each query point."""
+    lists = tree.query_ball_point(pts, radius, p=p, return_sorted=False)
+    rows = np.repeat(np.arange(len(lists)), [len(ls) for ls in lists])
+    cols = np.fromiter(chain.from_iterable(lists), dtype=np.intp, count=len(rows))
+    return rows, cols
+
+
 def distance_transform(grid: DomainGrid, norm: NormSpec) -> DistanceField:
     """d(x) = min over boundary nodes y of F_polar(x - y), for interior x."""
     if grid.interior_count == 0:
         raise ValueError("distance_transform: empty grid")
     pol = polar(norm)
-    bnodes = grid.boundary_node_indices()
-    bpts = grid.node_points(bnodes)
+    scale, p = minkowski_frame(pol)
+    bpts = grid.node_points(grid.boundary_node_indices())
     inodes = np.argwhere(grid.mask)
     ipts = grid.node_points(inodes)
-    d = np.empty(len(ipts))
-    for lo in range(0, len(ipts), _CHUNK):
-        hi = min(lo + _CHUNK, len(ipts))
-        diff = ipts[lo:hi, None, :] - bpts[None, :, :]
-        d[lo:hi] = eval_norm(pol, diff).min(axis=1)
+    tree = cKDTree(bpts * scale)
+    d_kd, _ = tree.query(ipts * scale, k=1, p=p)
+    rows, cols = _ball_pairs(tree, ipts * scale, d_kd * (1.0 + _SLACK), p)
+    d = np.full(len(ipts), np.inf)
+    np.minimum.at(d, rows, eval_norm(pol, ipts[rows] - bpts[cols]))
+    log.debug("distance_transform: nodes=%d ring=%d pairs=%d", len(ipts), len(bpts), len(rows))
     out = np.zeros((grid.nx, grid.ny))
     out[grid.mask] = d
     k = int(np.argmax(d))
@@ -169,25 +198,47 @@ def sup_rayleigh(field: ScalarField, norm: NormSpec) -> float:
     overshoot by up to sqrt(2) on apex cells of ridge-shaped fields like the
     distance function, destroying the inradius identity; the pairwise form
     keeps it exact: applied to the distance field it returns 1/max(d).
+
+    The maximum runs by branch and bound (module docstring): only pairs that
+    can beat the best quotient found so far are scored.
     """
     peak = np.abs(field.values).max(initial=0.0)
     if peak == 0.0:
         raise ValueError("sup_rayleigh: zero field")
     grid = field.tri.grid
     pol = polar(norm)
+    scale, p = minkowski_frame(pol)
     ipts = grid.node_points(np.argwhere(grid.mask))
     bpts = grid.node_points(grid.boundary_node_indices())
     pts = np.concatenate([ipts, bpts])
     vals = np.concatenate([field.values, np.zeros(len(bpts))])
-    lip_sq = 0.0
-    chunk = max(1, min(_CHUNK, 4_000_000 // max(len(pts), 1)))
-    for lo in range(0, len(pts), chunk):
-        hi = min(lo + chunk, len(pts))
-        dist_sq = eval_norm_sq(pol, pts[lo:hi, None, :] - pts[None, :, :])
-        dval = vals[lo:hi, None] - vals[None, :]
+    spts = pts * scale
+
+    def ratio_sq(i, j):
+        dist_sq = eval_norm_sq(pol, pts[i] - pts[j])
+        dval = vals[i] - vals[j]
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(dist_sq > 0.0, dval * dval / dist_sq, 0.0)
-        lip_sq = max(lip_sq, float(ratio.max()))
+        return float(ratio.max(initial=0.0))
+
+    # seed: pairs within three cells, and the peak node against its nearest
+    # ring node, which keeps the bound positive for any nonzero field
+    near = cKDTree(spts).query_pairs(3.0 * grid.h * linear_bounds(pol)[1], p=p,
+                                     output_type="ndarray")
+    top = int(np.argmax(np.abs(vals)))
+    ring = len(ipts) + int(np.argmin(eval_norm(pol, bpts - pts[top])))
+    lip_sq = max(ratio_sq(near[:, 0], near[:, 1]), ratio_sq(top, ring))
+    examined = len(near) + 1
+    # a pair (i, j) with v_j >= a beats the bound L only if F_polar(x_i - x_j) < (v_i - a) / L
+    for band in np.array_split(np.argsort(vals), min(_BANDS, len(vals))):
+        low = vals[band[0]]
+        src = np.flatnonzero(vals > low)
+        radius = (vals[src] - low) / np.sqrt(lip_sq) * (1.0 + _SLACK)
+        rows, cols = _ball_pairs(cKDTree(spts[band]), spts[src], radius, p)
+        lip_sq = max(lip_sq, ratio_sq(src[rows], band[cols]))
+        examined += len(rows)
+    log.debug("sup_rayleigh: nodes=%d ring=%d pairs=%d all_pairs=%d",
+              len(pts), len(bpts), examined, len(pts) ** 2)
     return float(np.sqrt(lip_sq)) / peak
 
 
@@ -208,23 +259,22 @@ def eikonal_bulk_fraction(
     grid = field.grid
     h = grid.h
     pol = polar(norm)
+    scale, p = minkowski_frame(pol)
     bpts = grid.node_points(grid.boundary_node_indices())
     inodes = np.argwhere(grid.mask)
     ipts = grid.node_points(inodes)
     dvals = field.d[grid.mask]
 
-    spread = np.zeros(len(ipts))
-    for lo in range(0, len(ipts), _CHUNK):
-        hi = min(lo + _CHUNK, len(ipts))
-        diff = ipts[lo:hi, None, :] - bpts[None, :, :]
-        vals = eval_norm(pol, diff)
-        near = vals <= dvals[lo:hi, None] + h
-        for row in range(hi - lo):
-            pts = bpts[near[row]]
-            if len(pts) > 1:
-                spread[lo + row] = np.hypot(
-                    pts[:, 0].max() - pts[:, 0].min(), pts[:, 1].max() - pts[:, 1].min()
-                )
+    rows, cols = _ball_pairs(cKDTree(bpts * scale), ipts * scale, (dvals + h) * (1.0 + _SLACK), p)
+    near = eval_norm(pol, ipts[rows] - bpts[cols]) <= dvals[rows] + h
+    rows, cols = rows[near], cols[near]
+    lo = np.full((len(ipts), 2), np.inf)
+    hi = np.full((len(ipts), 2), -np.inf)
+    np.minimum.at(lo, rows, bpts[cols])
+    np.maximum.at(hi, rows, bpts[cols])
+    counts = np.bincount(rows, minlength=len(ipts))
+    spread = np.where(counts > 1, np.hypot(hi[:, 0] - lo[:, 0], hi[:, 1] - lo[:, 1]), 0.0)
+    log.debug("eikonal_bulk_fraction: nodes=%d ring=%d pairs=%d", len(ipts), len(bpts), len(near))
     ridge = np.zeros(grid.mask.shape, dtype=bool)
     ridge[grid.mask] = spread > ridge_spread * h
     bad_node = ridge | grid.boundary_adjacent() | ~grid.mask

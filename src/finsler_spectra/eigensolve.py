@@ -15,6 +15,7 @@ quadratic norm families and all initial guesses.
 """
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
@@ -28,6 +29,8 @@ from .fem import (ScalarField, Triangulation, energy_from_terms, energy_p, energ
                   gradient_from_terms, mass_gradient, mass_p, triangulate)
 from .geometry import DomainGrid, components
 from .norms import EUCLIDEAN, WEIGHTED_QUADRATIC, NormSpec, euclidean, polar_eval
+
+log = logging.getLogger(__name__)
 
 _FOUR = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 _SEED = 0
@@ -421,13 +424,16 @@ def _split_candidates(grid: DomainGrid, norm: NormSpec) -> List[Tuple[np.ndarray
     cands = []
     # nodal split of the p=2 second eigenfunction (Euclidean stand-in for lq)
     qnorm = norm if norm.family in (EUCLIDEAN, WEIGHTED_QUADRATIC) else euclidean()
-    u2 = solve_linear_p2(grid, qnorm, 2).u
-    arr = u2.as_grid_array()
-    t = 1e-8 * np.abs(arr).max(initial=0.0)
-    pos = (arr > t) & grid.mask
-    neg = (arr < -t) & grid.mask
-    if pos.any() and neg.any():
-        cands.append((pos, neg))
+    try:
+        arr = solve_linear_p2(grid, qnorm, 2).u.as_grid_array()
+    except ConvergenceError as exc:
+        log.warning("nodal bipartition candidate dropped: %s: %s", type(exc).__name__, exc)
+    else:
+        t = 1e-8 * np.abs(arr).max(initial=0.0)
+        pos = (arr > t) & grid.mask
+        neg = (arr < -t) & grid.mask
+        if pos.any() and neg.any():
+            cands.append((pos, neg))
     # split along the polar-distance bisector of the two packing centers
     dfield = _distance.distance_transform(grid, norm)
     if grid.interior_count >= 2:
@@ -447,13 +453,23 @@ def _split_candidates(grid: DomainGrid, norm: NormSpec) -> List[Tuple[np.ndarray
 
 
 def _lambda2_connected(grid, norm, p, opts) -> BipartitionResult:
+    """Best refined nodal or packing split of a connected grid.
+
+    Each candidate is max(lambda_1(A), lambda_1(B)) over node-disjoint parts.
+    The parts still share the triangles between them, so this is not a
+    certified upper bound of the discrete lambda_2: on the unit square
+    (Euclidean, p=2) it lies below the 5-point lambda_2, 5.4% at h=1/16
+    (see the FOUND line on `solve_lambda2` in CHANGES.md and the
+    benchmark's kept failure `lambda2_square_p2`).
+    """
     solver = _PartSolver(grid, norm, p, opts)
     best = None
     for p1, p2 in _split_candidates(grid, norm):
         try:
             val, q1, q2, r1, r2 = _greedy_refine(solver, p1, p2)
-        except ConvergenceError:
-            continue  # a failed candidate only removes one upper bound
+        except ConvergenceError as exc:
+            log.warning("bipartition candidate dropped: %s: %s", type(exc).__name__, exc)
+            continue
         if best is None or val < best[0]:
             best = (val, q1, q2, r1, r2)
     if best is None:
@@ -476,9 +492,13 @@ def solve_lambda2(
 
     Disconnected sets: component pairs, then second eigenvalues within any
     component whose lambda_1 could still beat the best pair.  Connected sets:
-    nodal and packing splits refined by the greedy interface descent.  Every
-    candidate pair upper-bounds the discrete lambda_2, so the minimum is a
-    certified upper bound that is exact when the true partition is found.
+    nodal and packing splits refined by the greedy interface descent.  A
+    candidate whose solve raises ConvergenceError is dropped with a warning.
+
+    The result is not a certified upper bound of the discrete lambda_2:
+    node-disjoint parts of a connected grid share triangles, and the value
+    falls below the 5-point lambda_2 on the unit square (see
+    `_lambda2_connected`).
     """
     if grid.interior_count < 2:
         raise ValueError("solve_lambda2 needs at least two interior nodes")

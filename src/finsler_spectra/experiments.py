@@ -55,8 +55,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        if self.h <= 0:
-            raise ValueError("h must be positive")
+        if not 0.0 < self.h < np.inf:
+            raise ValueError(f"h must be finite and positive, got {self.h}")
         if self.experiment in ("lambda1", "lambda2", "faber_krahn", "hks", "p_limit") and not self.p_list:
             raise ValueError("p_list must be nonempty for eigenvalue experiments")
 

@@ -46,6 +46,13 @@ class ShapePrimitive:
             raise ValueError(f"unknown primitive mode {self.mode!r}")
         if self.kind == WULFF and self.norm is None:
             raise ValueError("wulff primitive needs a norm")
+        if self.kind == RECTANGLE:
+            if not self.x1 > self.x0:
+                raise ValueError(f"rectangle needs x1 > x0, got x0={self.x0}, x1={self.x1}")
+            if not self.y1 > self.y0:
+                raise ValueError(f"rectangle needs y1 > y0, got y0={self.y0}, y1={self.y1}")
+        elif not 0.0 <= self.radius < np.inf:
+            raise ValueError(f"{self.kind} radius must be finite and >= 0, got {self.radius}")
 
     def scaled(self, t: float) -> "ShapePrimitive":
         return replace(
@@ -203,8 +210,8 @@ def rasterize(spec: ShapeSpec, h: float, pad: int = 2) -> DomainGrid:
     multiples of h, and a node is interior iff it lies in the composed set
     with a half-cell margin (add primitives shrunk, subtracted ones grown).
     """
-    if h <= 0:
-        raise ValueError("cell size must be positive")
+    if not 0.0 < h < np.inf:
+        raise ValueError(f"cell size h must be finite and positive, got {h}")
     x0, y0, x1, y1 = spec.bbox()
     i0 = int(np.floor(x0 / h)) - pad
     j0 = int(np.floor(y0 / h)) - pad

@@ -126,6 +126,15 @@ def polar(norm: NormSpec) -> NormSpec:
     return lq_norm(norm.q / (norm.q - 1.0))
 
 
+def minkowski_frame(norm: NormSpec) -> Tuple[np.ndarray, float]:
+    """(scale, p) with F(x) = ||scale * x||_p, the frame of a Minkowski-metric KD-tree."""
+    if norm.family == EUCLIDEAN:
+        return np.ones(2), 2.0
+    if norm.family == WEIGHTED_QUADRATIC:
+        return np.sqrt([norm.a1, norm.a2]), 2.0
+    return np.ones(2), norm.q
+
+
 def polar_eval(norm: NormSpec, x) -> np.ndarray:
     """F_polar(x) = sup_{xi != 0} <xi, x> / F(xi), via the closed-form dual."""
     return eval_norm(polar(norm), x)

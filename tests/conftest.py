@@ -62,3 +62,71 @@ def brute_force_two_wulff(grid, norm, dvals_grid):
         cand[i] = -np.inf
         best = max(best, float(cand.max()))
     return best
+
+
+def offset_lshape_spec(dx=0.013, dy=0.007):
+    """The L-shape shifted off the lattice, so ring distances are not grid multiples."""
+    return fs.shape(
+        fs.rectangle(dx, dy, 1.0 + dx, 1.0 + dy),
+        fs.rectangle(0.5 + dx, 0.5 + dy, 1.01 + dx, 1.01 + dy, mode="subtract"),
+    )
+
+
+def _row_blocks(n, chunk=512):
+    for lo in range(0, n, chunk):
+        yield lo, min(lo + chunk, n)
+
+
+def brute_force_distance(grid, norm):
+    """All-pairs d(x) = min over ring nodes y of F_polar(x - y), as a grid array."""
+    pol = fs.polar(norm)
+    bpts = grid.node_points(grid.boundary_node_indices())
+    ipts = grid.node_points(np.argwhere(grid.mask))
+    d = np.empty(len(ipts))
+    for lo, hi in _row_blocks(len(ipts)):
+        d[lo:hi] = fs.eval_norm(pol, ipts[lo:hi, None, :] - bpts[None, :, :]).min(axis=1)
+    out = np.zeros((grid.nx, grid.ny))
+    out[grid.mask] = d
+    return out
+
+
+def brute_force_sup_rayleigh(field, norm):
+    """max over all node pairs (ring nodes valued 0) of |dv| / F_polar(dx), over max|v|."""
+    grid = field.tri.grid
+    pol = fs.polar(norm)
+    bpts = grid.node_points(grid.boundary_node_indices())
+    pts = np.concatenate([grid.node_points(np.argwhere(grid.mask)), bpts])
+    vals = np.concatenate([field.values, np.zeros(len(bpts))])
+    lip_sq = 0.0
+    for lo, hi in _row_blocks(len(pts)):
+        dist_sq = fs.norms.eval_norm_sq(pol, pts[lo:hi, None, :] - pts[None, :, :])
+        dval = vals[lo:hi, None] - vals[None, :]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(dist_sq > 0.0, dval * dval / dist_sq, 0.0)
+        lip_sq = max(lip_sq, float(ratio.max()))
+    return float(np.sqrt(lip_sq)) / np.abs(field.values).max()
+
+
+def brute_force_eikonal_fraction(field, norm, tri, grad_tol=0.1, ridge_spread=3.0):
+    """eikonal_bulk_fraction with the ridge spread taken row by row over all ring nodes."""
+    grid = field.grid
+    h = grid.h
+    pol = fs.polar(norm)
+    bpts = grid.node_points(grid.boundary_node_indices())
+    ipts = grid.node_points(np.argwhere(grid.mask))
+    dvals = field.d[grid.mask]
+    spread = np.zeros(len(ipts))
+    for k in range(len(ipts)):
+        near = bpts[fs.eval_norm(pol, ipts[k] - bpts) <= dvals[k] + h]
+        if len(near) > 1:
+            spread[k] = np.hypot(np.ptp(near[:, 0]), np.ptp(near[:, 1]))
+    ridge = np.zeros(grid.mask.shape, dtype=bool)
+    ridge[grid.mask] = spread > ridge_spread * h
+    bad = ridge | grid.boundary_adjacent() | ~grid.mask
+    ci, cj = tri.cell_ij[:, 0], tri.cell_ij[:, 1]
+    cell_bad = bad[ci, cj] | bad[ci + 1, cj] | bad[ci + 1, cj + 1] | bad[ci, cj + 1]
+    good = np.concatenate([~cell_bad, ~cell_bad])
+    if not good.any():
+        return 1.0
+    f = fs.eval_norm(norm, fs.triangle_gradients(field.as_field(tri)))
+    return float(np.mean(np.abs(f[good] - 1.0) <= grad_tol))

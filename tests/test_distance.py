@@ -1,5 +1,9 @@
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import finsler_spectra as fs
 from finsler_spectra.distance import (
@@ -11,7 +15,17 @@ from finsler_spectra.distance import (
 )
 from finsler_spectra.fem import ScalarField
 
-from conftest import brute_force_two_wulff, rect21_spec, two_disk_spec, unit_square_spec
+from conftest import (
+    ALL_NORMS,
+    brute_force_distance,
+    brute_force_eikonal_fraction,
+    brute_force_sup_rayleigh,
+    brute_force_two_wulff,
+    offset_lshape_spec,
+    rect21_spec,
+    two_disk_spec,
+    unit_square_spec,
+)
 
 
 @pytest.fixture(scope="module")
@@ -229,3 +243,78 @@ def test_two_wulff_needs_two_nodes():
     df = distance_transform(grid, fs.euclidean())
     with pytest.raises(ValueError):
         two_wulff_radius(df, fs.euclidean())
+
+
+EXACT_DOMAINS = {
+    "offset_lshape": (offset_lshape_spec, 1.0 / 32),
+    "two_disks": (two_disk_spec, 1.0 / 16),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(EXACT_DOMAINS))
+def exact_grid(request):
+    spec_fn, h = EXACT_DOMAINS[request.param]
+    grid = fs.rasterize(spec_fn(), h)
+    return grid, fs.triangulate(grid)
+
+
+def assert_exact(grid, tri, norm):
+    df = distance_transform(grid, norm)
+    ref = brute_force_distance(grid, norm)
+    assert np.array_equal(df.d, ref)
+    k = int(np.argmax(ref[grid.mask]))
+    assert df.rho_f == ref[grid.mask][k]
+    assert df.argmax_node == tuple(int(c) for c in np.argwhere(grid.mask)[k])
+    for spread in (1.0, 2.0, 3.0):
+        assert (eikonal_bulk_fraction(df, norm, tri, ridge_spread=spread)
+                == brute_force_eikonal_fraction(df, norm, tri, ridge_spread=spread))
+    phi = df.as_field(tri)
+    assert sup_rayleigh(phi, norm) == brute_force_sup_rayleigh(phi, norm)
+    # an off-lattice cone: its steepest quotients sit on long chords along
+    # its rays, beyond the short seed pairs
+    apex = grid.node_points(np.asarray(df.argmax_node)) + np.array([0.31, 0.17]) * grid.h
+    r = np.hypot(*(grid.node_points(np.argwhere(grid.mask)) - apex).T)
+    cone = ScalarField(tri, np.maximum(0.8 * df.rho_f - r, 0.0))
+    assert sup_rayleigh(cone, norm) == brute_force_sup_rayleigh(cone, norm)
+    return df
+
+
+@pytest.mark.parametrize("nname", sorted(ALL_NORMS))
+def test_kd_tree_kernels_equal_all_pairs(exact_grid, nname):
+    grid, tri = exact_grid
+    norm = ALL_NORMS[nname]
+    df = assert_exact(grid, tri, norm)
+    rng = np.random.default_rng(7)
+    for _ in range(2):
+        u = ScalarField(tri, rng.normal(size=tri.ndof))
+        assert sup_rayleigh(u, norm) == brute_force_sup_rayleigh(u, norm)
+    # fields that vanish on a band along the boundary: no seed pair that
+    # touches the ring carries a nonzero quotient
+    d = df.interior_values()
+    for vals in (np.maximum(d - 0.4 * df.rho_f, 0.0) * rng.uniform(0.5, 1.5, tri.ndof),
+                 -(d > 0.6 * df.rho_f).astype(float)):
+        u = ScalarField(tri, vals)
+        assert sup_rayleigh(u, norm) == brute_force_sup_rayleigh(u, norm)
+
+
+@settings(max_examples=12, deadline=None)
+@given(q=st.floats(1.2, 6.0), dx=st.floats(0.0, 1.0), dy=st.floats(0.0, 1.0))
+def test_kd_tree_kernels_equal_all_pairs_random_lq(q, dx, dy):
+    h = 1.0 / 16
+    grid = fs.rasterize(offset_lshape_spec(dx * h, dy * h), h)
+    assert_exact(grid, fs.triangulate(grid), fs.lq_norm(q))
+
+
+def test_distance_kernels_log_pairs_examined(caplog):
+    grid = fs.rasterize(offset_lshape_spec(), 1.0 / 16)
+    tri = fs.triangulate(grid)
+    with caplog.at_level(logging.DEBUG, logger="finsler_spectra.distance"):
+        df = distance_transform(grid, fs.euclidean())
+        eikonal_bulk_fraction(df, fs.euclidean(), tri)
+        sup_rayleigh(df.as_field(tri), fs.euclidean())
+    lines = [r.getMessage() for r in caplog.records]
+    assert [m.split(":")[0] for m in lines] == [
+        "distance_transform", "eikonal_bulk_fraction", "sup_rayleigh"]
+    n = grid.interior_count + len(grid.boundary_node_indices())
+    assert all("pairs=" in m for m in lines)
+    assert f"all_pairs={n * n}" in lines[2]

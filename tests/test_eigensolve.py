@@ -227,3 +227,25 @@ def test_eigenresult_serialization(square_grid):
     d = r.to_dict()
     assert set(d) == {"lambda", "p", "iterations", "residual", "nodal_count"}
     assert d["lambda"] == r.lam
+
+
+def test_lambda2_drops_nodal_candidate_when_oracle_fails(monkeypatch, caplog):
+    from finsler_spectra import eigensolve
+
+    grid = fs.rasterize(unit_square_spec(), 1.0 / 12)
+    norm = fs.euclidean()
+    nodal, packing = eigensolve._split_candidates(grid, norm)
+    oracle = eigensolve.solve_linear_p2
+
+    def failing_oracle(g, n, k):
+        if k == 2:
+            raise eigensolve.ConvergenceError("linear p=2 oracle did not converge")
+        return oracle(g, n, k)
+
+    monkeypatch.setattr(eigensolve, "solve_linear_p2", failing_oracle)
+    with caplog.at_level("WARNING", logger="finsler_spectra.eigensolve"):
+        b = fs.solve_lambda2(grid, norm, 2.0)
+    solver = eigensolve._PartSolver(grid, norm, 2.0, SolverOptions())
+    assert b.lambda2 == eigensolve._greedy_refine(solver, *packing)[0]
+    assert any("nodal" in r.getMessage() and "ConvergenceError" in r.getMessage()
+               for r in caplog.records)

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 
 import numpy as np
@@ -59,6 +60,35 @@ def test_config_validation():
         base_cfg(h=0.0)
     with pytest.raises(ValueError):
         base_cfg(p_list=[])
+
+
+@pytest.mark.parametrize("h", [float("nan"), float("inf")])
+def test_config_rejects_non_finite_h(h):
+    with pytest.raises(ValueError, match="h must be finite"):
+        base_cfg(h=h)
+
+
+def test_config_rejects_bad_domain_fields():
+    disk = {"type": "euclidean_disk", "center": [0.0, 0.0], "radius": -1.0}
+    with pytest.raises(ValueError, match="radius"):
+        base_cfg(domain=[disk])
+    rect = dict(square_domain()[0], x0=1.0, x1=0.5)
+    with pytest.raises(ValueError, match="x1 > x0"):
+        base_cfg(domain=[rect])
+
+
+def test_debug_log_leaves_distance_report_unchanged(tmp_path, caplog):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"experiment": "distance", "domain": square_domain(),
+                                    "norm": {"family": "lq", "q": 3.0}, "h": 1.0 / 24}))
+    reports = []
+    for level in (logging.ERROR, logging.DEBUG):
+        out = tmp_path / logging.getLevelName(level)
+        with caplog.at_level(level, logger="finsler_spectra"):
+            assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        reports.append((out / "report.json").read_bytes())
+    assert any(r.getMessage().startswith("sup_rayleigh:") for r in caplog.records)
+    assert reports[0] == reports[1]
 
 
 def test_run_lambda1_and_lambda2():

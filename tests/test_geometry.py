@@ -133,3 +133,24 @@ def test_wulff_raster_matches_shape_membership():
     pts = g.node_points(np.argwhere(g.mask))
     assert np.all(fs.polar_eval(norm, pts) < 1.0)
     assert fs.measure(g) == pytest.approx(2 * np.pi, abs=0.25)
+
+
+@pytest.mark.parametrize("radius", [-0.5, float("nan")])
+def test_disk_and_wulff_reject_bad_radius(radius):
+    with pytest.raises(ValueError, match="radius"):
+        fs.euclidean_disk((0.0, 0.0), radius)
+    with pytest.raises(ValueError, match="radius"):
+        fs.wulff((0.0, 0.0), radius, fs.euclidean())
+
+
+def test_rectangle_rejects_inverted_corners():
+    with pytest.raises(ValueError, match="x1 > x0"):
+        fs.rectangle(1.0, 0.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="y1 > y0"):
+        fs.rectangle(0.0, 1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("h", [float("nan"), float("inf")])
+def test_rasterize_rejects_non_finite_h(h):
+    with pytest.raises(ValueError, match="cell size h"):
+        fs.rasterize(unit_square_spec(), h)
