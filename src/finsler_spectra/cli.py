@@ -9,6 +9,7 @@ Exit code 0 iff every pass flag of the run is true.  FS_LOG in
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import os
@@ -20,13 +21,25 @@ from .norms import check_duality, norm_from_dict
 _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
 
 
-def _setup_logging() -> None:
-    level = os.environ.get("FS_LOG", "error").lower()
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=_LOG_LEVELS.get(level, logging.ERROR),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+@contextlib.contextmanager
+def _package_logging():
+    """For one command, send the package's records at the FS_LOG level to
+    standard error through its own handler, whatever logging was configured
+    before (basicConfig is a no-op once the root has a handler); records do
+    not propagate, so each prints once, and the logger is restored after."""
+    pkg = logging.getLogger("finsler_spectra")
+    saved = pkg.level, pkg.propagate
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    pkg.addHandler(handler)
+    pkg.setLevel(_LOG_LEVELS.get(os.environ.get("FS_LOG", "error").lower(), logging.ERROR))
+    pkg.propagate = False
+    try:
+        yield
+    finally:
+        pkg.removeHandler(handler)
+        pkg.setLevel(saved[0])
+        pkg.propagate = saved[1]
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -77,9 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _setup_logging()
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    with _package_logging():
+        return args.func(args)
 
 
 if __name__ == "__main__":

@@ -55,8 +55,17 @@ class SolverOptions:
     tol: float = 1e-8
     epsilon_schedule: Tuple[float, ...] = (1e-2, 1e-4, 0.0)
 
+    def __post_init__(self):
+        if not self.max_iter >= 1:
+            raise ValueError(f"solver.max_iter must be at least 1, got {self.max_iter!r}")
+        if not (np.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError(f"solver.tol must be finite and positive, got {self.tol!r}")
+
     @staticmethod
     def from_dict(d: dict) -> "SolverOptions":
+        unknown = sorted(set(d) - {"max_iter", "tol", "epsilon_schedule"})
+        if unknown:
+            raise ValueError(f"solver: unknown key(s) {unknown}")
         opts = SolverOptions()
         return replace(
             opts,
@@ -131,35 +140,47 @@ def nodal_domains(u: ScalarField, threshold: float = 1e-6) -> Tuple[int, np.ndar
     return int(npos + nneg), labels
 
 
-def _normalize(tri: Triangulation, values: np.ndarray, p: float) -> np.ndarray:
+def _mass_root(tri: Triangulation, values: np.ndarray, p: float) -> float:
     # p-th root of the lumped mass in a form that cannot overflow for huge
     # line-search trials: mass^{1/p} = max|v| * (h^2 sum (|v|/max)^p)^{1/p}
-    peak = np.abs(values).max(initial=0.0)
+    a = np.abs(values)
+    peak = a.max(initial=0.0)
     if peak == 0.0 or not np.isfinite(peak):
         raise ValueError("cannot normalize a zero or non-finite field")
-    root = peak * float(tri.h ** 2 * np.sum((np.abs(values) / peak) ** p)) ** (1.0 / p)
+    root = peak * float(tri.h ** 2 * np.sum((a / peak) ** p)) ** (1.0 / p)
     if root == 0.0 or not np.isfinite(root):
         raise ValueError("cannot normalize a zero or non-finite field")
-    return values / root
+    return root
 
 
-def _quotient(tri, norm, p, eps, values):
-    """Rayleigh quotient, plus the energy terms and mass its gradient reuses."""
-    u = ScalarField(tri, values)
-    terms = energy_terms(u, norm, eps)
-    m = mass_p(u, p)
-    return energy_from_terms(tri, terms, p) / m, terms, m
+def _normalize(tri: Triangulation, values: np.ndarray, p: float) -> np.ndarray:
+    return values / _mass_root(tri, values, p)
 
 
-def _quotient_grad(tri, norm, p, eps, values, evaluated=None):
-    """Rayleigh quotient and its gradient projected on the mass sphere's tangent;
-    ``evaluated`` (what _quotient returned at values) spares a second mesh pass."""
-    u = ScalarField(tri, values)
-    r, terms, m = evaluated if evaluated is not None else _quotient(tri, norm, p, eps, values)
-    gm = mass_gradient(u, p).values
-    g = (gradient_from_terms(tri, terms, p).values - r * gm) / m
+def _ray_trial(tri, norm, p, eps, w, gw):
+    """Quotient of w / c, c the p-th root of w's lumped mass, from the gradient
+    components gw = G w: one mass pass and the norm kernel, no sparse product.
+    Returns (quotient, energy terms, G(w / c), c); the mass of w / c is 1.
+    A zero or non-finite w raises ValueError."""
+    c = _mass_root(tri, w, p)
+    comps = (gw[0] / c, gw[1] / c)
+    terms = energy_terms(comps, norm, eps)
+    return energy_from_terms(tri, terms, p), terms, comps, c
+
+
+def _tangent_gradient(tri, p, v, r, terms):
+    """Gradient of the quotient at a unit-mass field, projected on the mass sphere's tangent."""
+    gm = mass_gradient(ScalarField(tri, v), p).values
+    g = gradient_from_terms(tri, terms, p).values - r * gm
     g -= (float(g @ gm) / float(gm @ gm)) * gm
-    return r, g
+    return g
+
+
+def _evaluate(tri, norm, p, eps, values):
+    """values scaled to unit mass, its gradient components, quotient and projected gradient."""
+    r, terms, gv, c = _ray_trial(tri, norm, p, eps, values, tri.gradient_components(values))
+    v = values / c
+    return v, gv, r, _tangent_gradient(tri, p, v, r, terms)
 
 
 def _descent_stage(tri, norm, p, eps, values, tol, max_iter,
@@ -170,14 +191,17 @@ def _descent_stage(tri, norm, p, eps, values, tol, max_iter,
     residual is |grad R|_2 * |u|_2 / R.  The stop reason distinguishes a
     reached tolerance, a value plateau, the floating-point line-search floor
     (no descent representable), and the iteration cap: only the last one can
-    signal genuine non-convergence.
+    signal genuine non-convergence.  A trial v - t g is evaluated along the
+    ray: its gradient components are Gv - t Gg, from the accepted trial's
+    components and one Gg per step, so a step makes two sparse products
+    forward and two back however many trials it takes.
     """
-    v = _normalize(tri, values, p)
-    r, g = _quotient_grad(tri, norm, p, eps, v)
+    v, gv, r, g = _evaluate(tri, norm, p, eps, values)
     res = np.linalg.norm(g) * np.linalg.norm(v) / r
     t = np.linalg.norm(v) / max(np.linalg.norm(g), 1e-300)
     history = [r]
     it = 0
+    trials = 0
     reason = "tol" if res <= tol else "maxiter"
     while it < max_iter:
         if res <= tol:
@@ -187,15 +211,16 @@ def _descent_stage(tri, norm, p, eps, values, tol, max_iter,
         r_ref = max(history[-_NONMONOTONE_WINDOW:])
         accepted = False
         g_dot = float(g @ g)
+        gg = tri.gradient_components(g)
         for _ in range(40):
-            trial = v - t * g
+            trials += 1
+            w = v - t * g
             try:
-                trial = _normalize(tri, trial, p)
+                r_new, terms, comps, c = _ray_trial(
+                    tri, norm, p, eps, w, (gv[0] - t * gg[0], gv[1] - t * gg[1]))
             except ValueError:
                 t *= 0.25
                 continue
-            evaluated = _quotient(tri, norm, p, eps, trial)
-            r_new = evaluated[0]
             if r_new <= r_ref - 1e-6 * t * g_dot:
                 accepted = True
                 break
@@ -203,7 +228,8 @@ def _descent_stage(tri, norm, p, eps, values, tol, max_iter,
         if not accepted:
             reason = "floor"
             break
-        r_new, g_new = _quotient_grad(tri, norm, p, eps, trial, evaluated)
+        trial = w / c
+        g_new = _tangent_gradient(tri, p, trial, r_new, terms)
         s = trial - v
         y = g_new - g
         sy = float(s @ y)
@@ -212,7 +238,7 @@ def _descent_stage(tri, norm, p, eps, values, tol, max_iter,
         else:
             t *= 2.0
         t = float(np.clip(t, 1e-16, 1e12))
-        v, r, g = trial, r_new, g_new
+        v, gv, r, g = trial, comps, r_new, g_new
         history.append(r)
         win, rtol = plateau
         if len(history) > win and history[-win - 1] - r <= rtol * r:
@@ -222,6 +248,8 @@ def _descent_stage(tri, norm, p, eps, values, tol, max_iter,
     res = np.linalg.norm(g) * np.linalg.norm(v) / r
     if res <= tol:
         reason = "tol"
+    log.debug("descent stage p=%g eps=%g dofs=%d iterations=%d trials=%d stop=%s residual=%.3e",
+              p, eps, tri.ndof, it, trials, reason, res)
     return v, r, it, res, reason
 
 
@@ -286,9 +314,8 @@ def solve_lambda1(
         total += it
     # first eigenfunctions have constant sign: the nodewise absolute value
     # never increases the energy for these norms and pins the sign convention
-    v = _normalize(tri, np.abs(v), p)
+    v, _, lam, g = _evaluate(tri, norm, p, 0.0, np.abs(v))
     u = ScalarField(tri, v)
-    lam, g = _quotient_grad(tri, norm, p, 0.0, v)
     res = float(np.linalg.norm(g) * np.linalg.norm(v) / lam)
     # at large p the scaled residual has a floating-point floor that grows
     # with the quotient's curvature; a stage that still had descent headroom

@@ -131,9 +131,14 @@ def triangle_gradients(u: ScalarField) -> np.ndarray:
     return np.stack([gx, gy], axis=-1)
 
 
-def energy_terms(u: ScalarField, norm: NormSpec, eps: float = 0.0):
-    """Per-triangle (F^2 + eps^2, F dF) of grad u; energy and gradient share one pass."""
-    gx, gy = u.tri.gradient_components(u.values)
+def energy_terms(u: "ScalarField | Tuple[np.ndarray, np.ndarray]", norm: NormSpec,
+                 eps: float = 0.0):
+    """Per-triangle (F^2 + eps^2, F dF) of grad u; energy and gradient share one pass.
+
+    ``u`` is a ScalarField or its gradient components (gx, gy), which a line
+    search along a ray forms without a sparse product.
+    """
+    gx, gy = u.tri.gradient_components(u.values) if isinstance(u, ScalarField) else u
     f2, hx, hy = squared_with_halfgrad(norm, gx, gy)
     return f2 + eps * eps, hx, hy
 

@@ -1,3 +1,6 @@
+import logging
+import re
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,7 @@ import finsler_spectra as fs
 from finsler_spectra.eigensolve import SolverOptions
 from finsler_spectra.fem import ScalarField
 
-from conftest import rect21_spec, two_disk_spec, unit_square_spec
+from conftest import ALL_NORMS, lshape_spec, rect21_spec, two_disk_spec, unit_square_spec
 
 
 @pytest.fixture(scope="module")
@@ -249,3 +252,102 @@ def test_lambda2_drops_nodal_candidate_when_oracle_fails(monkeypatch, caplog):
     assert b.lambda2 == eigensolve._greedy_refine(solver, *packing)[0]
     assert any("nodal" in r.getMessage() and "ConvergenceError" in r.getMessage()
                for r in caplog.records)
+
+
+def _relative_gap(a, b):
+    return float(np.max(np.abs(np.asarray(a) - np.asarray(b))) / np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-2])
+@pytest.mark.parametrize("p", [1.5, 3.0, 8.0, 32.0])
+@pytest.mark.parametrize("family", sorted(ALL_NORMS))
+def test_ray_trial_matches_field_evaluation(family, p, eps):
+    from finsler_spectra import eigensolve
+    from finsler_spectra.fem import energy_p, energy_terms, mass_p
+
+    norm = ALL_NORMS[family]
+    grid = fs.rasterize(lshape_spec(), 1.0 / 16)
+    tri = fs.triangulate(grid)
+    rng = np.random.default_rng(7)
+    v = eigensolve._normalize(tri, fs.solve_linear_p2(grid, fs.euclidean(), 1).u.values, p)
+    g = rng.standard_normal(tri.ndof)
+    t = 0.5 * np.linalg.norm(v) / np.linalg.norm(g)
+    w = v - t * g
+    (gvx, gvy), (ggx, ggy) = tri.gradient_components(v), tri.gradient_components(g)
+    r, terms, comps, c = eigensolve._ray_trial(tri, norm, p, eps, w, (gvx - t * ggx, gvy - t * ggy))
+    u = ScalarField(tri, w / c)
+    assert r == pytest.approx(energy_p(u, norm, p, eps) / mass_p(u, p), rel=1e-12)
+    for got, want in zip(terms, energy_terms(u, norm, eps)):
+        assert _relative_gap(got, want) <= 1e-12
+    for got, want in zip(comps, tri.gradient_components(u.values)):
+        assert _relative_gap(got, want) <= 1e-12
+
+
+def test_descent_shrinks_zero_and_overflowing_trials(monkeypatch):
+    from finsler_spectra import eigensolve
+
+    grid = fs.rasterize(lshape_spec(), 1.0 / 16)
+    tri = fs.triangulate(grid)
+    norm = fs.lq_norm(3.0)
+    start = fs.solve_linear_p2(grid, fs.euclidean(), 1).u.values
+    clean = eigensolve._descent_stage(tri, norm, 3.0, 0.0, start, 1e-8, 2000)
+    real = eigensolve._ray_trial
+    v0 = eigensolve._normalize(tri, start, 3.0)
+    steps = []
+
+    def forced(tri, norm, p, eps, w, gw):
+        if w is start:
+            return real(tri, norm, p, eps, w, gw)     # the stage's starting point
+        steps.append(float(np.linalg.norm(w - v0)))   # t * |g| on the first step
+        with np.errstate(over="ignore", invalid="ignore"):
+            if len(steps) == 1:
+                w = np.zeros_like(w)                     # exactly zero trial
+            elif len(steps) == 2:
+                w = w * 1e308 * 1e308                    # the trial overflows
+            elif len(steps) == 3:
+                gw = (gw[0] * 1e308 * 1e308, gw[1])      # its gradient overflows
+            return real(tri, norm, p, eps, w, gw)
+
+    with pytest.raises(ValueError):
+        real(tri, norm, 3.0, 0.0, np.zeros(tri.ndof), tri.gradient_components(start))
+    monkeypatch.setattr(eigensolve, "_ray_trial", forced)
+    with np.errstate(invalid="ignore"):
+        v, r, it, res, reason = eigensolve._descent_stage(tri, norm, 3.0, 0.0, start, 1e-8, 2000)
+    assert steps[1:4] == pytest.approx([steps[0] * 0.25 ** k for k in (1, 2, 3)], rel=1e-12)
+    assert reason == "tol" and res <= 1e-8
+    assert r == pytest.approx(clean[1], rel=1e-12)
+
+
+# lambda_1 on the L-shape at h = 1/16 (default options) from the line search
+# that evaluated every trial as a field: two sparse products, the norm kernel
+# and a second mass pass per trial
+LSHAPE_LAMBDA1 = {
+    ("euclidean", 1.5): 16.247727608261904,
+    ("euclidean", 3.0): 192.74806081324684,
+    ("lq", 1.5): 15.401664246566963,
+    ("lq", 3.0): 169.08606410539053,
+    ("weighted_quadratic", 1.5): 27.506577449242737,
+    ("weighted_quadratic", 3.0): 474.36538342052404,
+}
+
+
+@pytest.mark.parametrize("family, p", sorted(LSHAPE_LAMBDA1))
+def test_ray_trials_keep_lambda1(family, p):
+    r = fs.solve_lambda1(fs.rasterize(lshape_spec(), 1.0 / 16), ALL_NORMS[family], p)
+    assert r.lam == pytest.approx(LSHAPE_LAMBDA1[family, p], rel=1e-12)
+
+
+def test_descent_stages_log_one_debug_line_each(caplog):
+    grid = fs.rasterize(lshape_spec(), 1.0 / 16)
+    with caplog.at_level(logging.DEBUG, logger="finsler_spectra.eigensolve"):
+        r = fs.solve_lambda1(grid, fs.lq_norm(3.0), 3.0)
+    pattern = re.compile(r"descent stage p=(\S+) eps=(\S+) dofs=(\d+) iterations=(\d+) "
+                         r"trials=(\d+) stop=(tol|plateau|floor|maxiter) residual=(\S+)$")
+    stages = [pattern.match(rec.getMessage()) for rec in caplog.records]
+    assert all(stages) and len(stages) == 4   # the p=2 rung, then eps 1e-2, 1e-4, 0
+    assert [(float(m[1]), float(m[2])) for m in stages] == [
+        (2.0, 0.0), (3.0, 1e-2), (3.0, 1e-4), (3.0, 0.0)]
+    assert all(int(m[3]) == grid.interior_count for m in stages)
+    assert sum(int(m[4]) for m in stages) == r.iterations
+    assert all(int(m[5]) >= int(m[4]) for m in stages)
+    assert stages[-1][6] == "tol" and float(stages[-1][7]) <= 1e-8

@@ -77,18 +77,63 @@ def test_config_rejects_bad_domain_fields():
         base_cfg(domain=[rect])
 
 
-def test_debug_log_leaves_distance_report_unchanged(tmp_path, caplog):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"experiment": "distance", "domain": square_domain(),
-                                    "norm": {"family": "lq", "q": 3.0}, "h": 1.0 / 24}))
-    reports = []
-    for level in (logging.ERROR, logging.DEBUG):
-        out = tmp_path / logging.getLevelName(level)
-        with caplog.at_level(level, logger="finsler_spectra"):
+def test_debug_log_leaves_distance_report_unchanged(tmp_path, monkeypatch, capsys):
+    configs = {
+        "distance": ({"experiment": "distance", "domain": square_domain(),
+                      "norm": {"family": "lq", "q": 3.0}, "h": 1.0 / 24}, "sup_rayleigh:"),
+        "lambda1": ({"experiment": "lambda1", "domain": square_domain(),
+                     "norm": {"family": "lq", "q": 3.0}, "h": 1.0 / 16, "p_list": [3.0]},
+                    "descent stage p=3 eps=0 "),
+    }
+    for name, (cfg, debug_line) in configs.items():
+        cfg_path = tmp_path / f"{name}.json"
+        cfg_path.write_text(json.dumps(cfg))
+        reports = []
+        for level in ("error", "debug"):
+            monkeypatch.setenv("FS_LOG", level)
+            out = tmp_path / name / level
             assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
-        reports.append((out / "report.json").read_bytes())
-    assert any(r.getMessage().startswith("sup_rayleigh:") for r in caplog.records)
-    assert reports[0] == reports[1]
+            err = capsys.readouterr().err
+            assert (debug_line in err) == (level == "debug")
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+
+
+def test_fs_log_applies_under_configured_root_logger(tmp_path, monkeypatch, capsys):
+    # what logging.basicConfig(level=logging.ERROR) leaves behind
+    root = logging.getLogger()
+    handler = logging.StreamHandler()
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    monkeypatch.setattr(root, "level", logging.ERROR)
+    root.addHandler(handler)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"experiment": "lambda1", "domain": square_domain(),
+                                    "norm": {"family": "euclidean"}, "h": 1.0 / 8,
+                                    "p_list": [3.0]}))
+    monkeypatch.setenv("FS_LOG", "debug")
+    try:
+        for _ in range(2):
+            assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+            stages = [line for line in capsys.readouterr().err.splitlines()
+                      if line.startswith("DEBUG finsler_spectra.eigensolve: descent stage")]
+            # the p=2 rung and three epsilon stages at p=3, each printed once
+            assert len(stages) == len(set(stages)) == 4
+    finally:
+        root.removeHandler(handler)
+    assert not logging.getLogger("finsler_spectra").handlers
+
+
+@pytest.mark.parametrize("solver, field", [
+    ({"maxiter": 500}, "maxiter"),
+    ({"max_iter": 0}, "max_iter"),
+    ({"tol": float("nan")}, "tol"),
+    ({"tol": float("inf")}, "tol"),
+    ({"tol": 0.0}, "tol"),
+    ({"tol": -1e-8}, "tol"),
+])
+def test_config_rejects_bad_solver_options(solver, field):
+    with pytest.raises(ValueError, match=field):
+        base_cfg(solver=solver)
 
 
 def test_run_lambda1_and_lambda2():
