@@ -1,6 +1,6 @@
 """Command line entry point.
 
-    finsler-spectra run --config cfg.json [--out DIR] [--format json|csv|svg-data] [--threads N]
+    finsler-spectra run --config cfg.json [--out DIR] [--format json|csv|svg-data]
     finsler-spectra check-duality --norm '{"family":"lq","q":3.0}' --samples 100
 
 Exit code 0 iff every pass flag of the run is true.  FS_LOG in
@@ -14,6 +14,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import asdict
 
 from . import experiments
 from .norms import check_duality, norm_from_dict
@@ -44,7 +45,7 @@ def _package_logging():
 
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = experiments.ExperimentConfig.from_json(args.config)
-    report = experiments.run(cfg, threads=args.threads)
+    report = experiments.run(cfg)
     out_dir = args.out or cfg.out or "."
     paths = experiments.emit_report(report, out_dir, args.format)
     for p in paths:
@@ -55,16 +56,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_check_duality(args: argparse.Namespace) -> int:
     norm = norm_from_dict(json.loads(args.norm))
     rep = check_duality(norm, args.samples)
-    print(json.dumps({
-        "norm": norm.to_dict(),
-        "samples": args.samples,
-        "max_residual": rep.max_residual,
-        "euler_primal": rep.euler_primal,
-        "euler_polar": rep.euler_polar,
-        "unit_grad_primal": rep.unit_grad_primal,
-        "unit_grad_polar": rep.unit_grad_polar,
-        "polar_inverse": rep.polar_inverse,
-    }, indent=2, sort_keys=True))
+    print(json.dumps({"norm": norm.to_dict(), "samples": args.samples, **asdict(rep)},
+                     indent=2, sort_keys=True))
     return 0 if rep.max_residual <= experiments.DUALITY_TOL else 1
 
 
@@ -79,7 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, help="path to the experiment config")
     p_run.add_argument("--out", default=None, help="output directory (default: config or cwd)")
     p_run.add_argument("--format", default="json", choices=experiments.FORMATS)
-    p_run.add_argument("--threads", type=int, default=1, help="parallel jobs over p values")
     p_run.set_defaults(func=_cmd_run)
 
     p_dual = sub.add_parser("check-duality", help="verify the norm duality identities")

@@ -1,10 +1,10 @@
 """Anisotropic distance to the boundary, inradius, and two-shape packing.
 
 The distance of an interior node x is min over boundary-ring nodes y of
-F_polar(x - y).  The polar norm of every family is a Minkowski p-norm after
-a coordinate scale (`norms.minkowski_frame`), so a `scipy.spatial.cKDTree`
-over the scaled ring nodes finds each node's nearest ring node in
-O(log N).  The tree's own arithmetic may differ from `eval_norm` in the
+F_polar(x - y).  Every polar norm is a Minkowski p-norm after a coordinate
+scale, F_polar(x) = ||x / sqrt(w)||_q' with q' = q/(q-1)
+(`norms.minkowski_frame`), so a `scipy.spatial.cKDTree` over the scaled ring
+nodes finds each node's nearest ring node in O(log N).  The tree's own arithmetic may differ from `eval_norm` in the
 last bits, so it only selects candidates: every ring node within the tree
 distance times (1 + _SLACK) is kept, and the reported value is the minimum
 of `eval_norm` over them.  The true minimizer is always among them, so the

@@ -11,7 +11,7 @@ warm starts).  lambda_2 comes from its bipartition characterization:
 the minimum over disjoint sub-domain pairs of max(lambda_1, lambda_1),
 searched over nodal splits, packing-based splits and a greedy interface
 descent.  A linear 5-point oracle provides exact p = 2 answers for the
-quadratic norm families and all initial guesses.
+quadratic (q = 2) norms and all initial guesses.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ from . import distance as _distance
 from .fem import (ScalarField, Triangulation, energy_from_terms, energy_p, energy_terms,
                   gradient_from_terms, mass_gradient, mass_p, triangulate)
 from .geometry import DomainGrid, components
-from .norms import EUCLIDEAN, WEIGHTED_QUADRATIC, NormSpec, euclidean, polar_eval
+from .norms import NormSpec, euclidean, polar_eval
 
 log = logging.getLogger(__name__)
 
@@ -267,11 +267,9 @@ def _exponent_ladder(p: float) -> List[float]:
     return ladder
 
 
-def _initial_guess(grid: DomainGrid, norm: NormSpec, opts: SolverOptions) -> ScalarField:
-    if norm.family in (EUCLIDEAN, WEIGHTED_QUADRATIC):
-        return solve_linear_p2(grid, norm, 1).u
-    # no quadratic analogue for lq norms: use the Euclidean p=2 eigenfunction
-    return solve_linear_p2(grid, euclidean(), 1).u
+def _p2_stand_in(norm: NormSpec) -> NormSpec:
+    # the linear oracle needs q = 2; l_q norms start from the Euclidean one
+    return norm if norm.q == 2.0 else euclidean()
 
 
 def solve_lambda1(
@@ -301,7 +299,7 @@ def solve_lambda1(
         v = initial.values.copy()
         schedule = (0.0,)
     else:
-        v = _initial_guess(grid, norm, opts).values
+        v = solve_linear_p2(grid, _p2_stand_in(norm), 1).u.values
         for q in _exponent_ladder(p)[:-1]:
             v, _, it, _, _ = _descent_stage(tri, norm, q, 0.0, v, coarse_tol,
                                             min(2000, opts.max_iter), plateau)
@@ -330,7 +328,7 @@ def solve_lambda1(
 
 
 def solve_linear_p2(grid: DomainGrid, norm: NormSpec, k: int) -> EigenResult:
-    """k-th eigenpair (k = 1 or 2) of the 5-point operator for quadratic norms.
+    """k-th eigenpair (k = 1 or 2) of the 5-point operator for quadratic (q = 2) norms.
 
     Assembles the same quadratic form as energy_2 on the triangulation and
     takes the two lowest pairs from shift-invert Lanczos (ARPACK at sigma=0
@@ -341,16 +339,14 @@ def solve_linear_p2(grid: DomainGrid, norm: NormSpec, k: int) -> EigenResult:
     components), ARPACK stops near a 1e-9 residual.  ``iterations`` counts
     the LU solves; ``residual`` is the relative residual of the returned pair.
     """
-    if norm.family not in (EUCLIDEAN, WEIGHTED_QUADRATIC):
-        raise ValueError("the linear p=2 oracle needs a quadratic norm family")
+    if norm.q != 2.0:
+        raise ValueError(f"the linear p=2 oracle needs a quadratic norm (q = 2), got q={norm.q!r}")
     if k not in (1, 2):
         raise ValueError("k must be 1 or 2")
     tri = triangulate(grid)
     if tri.ndof < k:
         raise ValueError(f"eigenpair k={k} needs at least k interior nodes, got ndof={tri.ndof}")
-    a1 = norm.a1 if norm.family == WEIGHTED_QUADRATIC else 1.0
-    a2 = norm.a2 if norm.family == WEIGHTED_QUADRATIC else 1.0
-    K = (tri.area * (a1 * (tri.GxT @ tri.Gx) + a2 * (tri.GyT @ tri.Gy))).tocsc()
+    K = (tri.area * (norm.w1 * (tri.GxT @ tri.Gx) + norm.w2 * (tri.GyT @ tri.Gy))).tocsc()
     m = tri.h ** 2  # lumped mass is m * identity
     solves = 0
     if tri.ndof > 2:
@@ -449,10 +445,9 @@ def _greedy_refine(solver: _PartSolver, p1: np.ndarray, p2: np.ndarray):
 
 def _split_candidates(grid: DomainGrid, norm: NormSpec) -> List[Tuple[np.ndarray, np.ndarray]]:
     cands = []
-    # nodal split of the p=2 second eigenfunction (Euclidean stand-in for lq)
-    qnorm = norm if norm.family in (EUCLIDEAN, WEIGHTED_QUADRATIC) else euclidean()
+    # nodal split of the p=2 second eigenfunction
     try:
-        arr = solve_linear_p2(grid, qnorm, 2).u.as_grid_array()
+        arr = solve_linear_p2(grid, _p2_stand_in(norm), 2).u.as_grid_array()
     except ConvergenceError as exc:
         log.warning("nodal bipartition candidate dropped: %s: %s", type(exc).__name__, exc)
     else:
@@ -479,8 +474,9 @@ def _split_candidates(grid: DomainGrid, norm: NormSpec) -> List[Tuple[np.ndarray
     return cands
 
 
-def _lambda2_connected(grid, norm, p, opts) -> BipartitionResult:
-    """Best refined nodal or packing split of a connected grid.
+def _lambda2_connected(grid, norm, p, opts):
+    """Best refined nodal or packing split of a connected grid, as
+    (lambda2, part1, part2, result1, result2).
 
     Each candidate is max(lambda_1(A), lambda_1(B)) over node-disjoint parts.
     The parts still share the triangles between them, so this is not a
@@ -493,20 +489,15 @@ def _lambda2_connected(grid, norm, p, opts) -> BipartitionResult:
     best = None
     for p1, p2 in _split_candidates(grid, norm):
         try:
-            val, q1, q2, r1, r2 = _greedy_refine(solver, p1, p2)
+            cand = _greedy_refine(solver, p1, p2)
         except ConvergenceError as exc:
             log.warning("bipartition candidate dropped: %s: %s", type(exc).__name__, exc)
             continue
-        if best is None or val < best[0]:
-            best = (val, q1, q2, r1, r2)
+        if best is None or cand[0] < best[0]:
+            best = cand
     if best is None:
         raise ConvergenceError("no admissible bipartition candidate was found")
-    val, q1, q2, r1, r2 = best
-    return BipartitionResult(
-        lambda2=val, part1=q1, part2=q2,
-        lambda1_part1=r1.lam, lambda1_part2=r2.lam,
-        result1=r1, result2=r2,
-    )
+    return best
 
 
 def solve_lambda2(
@@ -531,21 +522,21 @@ def solve_lambda2(
         raise ValueError("solve_lambda2 needs at least two interior nodes")
     comps = components(grid)
     if len(comps) == 1:
-        return _lambda2_connected(grid, norm, p, opts)
-
-    popts = _part_opts(opts)
-    firsts = [solve_lambda1(c, norm, p, popts) for c in comps]
-    best = None
-    for i in range(len(comps)):
-        for j in range(i + 1, len(comps)):
-            val = max(firsts[i].lam, firsts[j].lam)
-            if best is None or val < best[0]:
-                best = (val, comps[i].mask, comps[j].mask, firsts[i], firsts[j])
-    for i, comp in enumerate(comps):
-        if firsts[i].lam < best[0] * (1.0 - 1e-12):
-            sub = _lambda2_connected(comp, norm, p, opts)
-            if sub.lambda2 < best[0]:
-                best = (sub.lambda2, sub.part1, sub.part2, sub.result1, sub.result2)
+        best = _lambda2_connected(grid, norm, p, opts)
+    else:
+        popts = _part_opts(opts)
+        firsts = [solve_lambda1(c, norm, p, popts) for c in comps]
+        best = None
+        for i in range(len(comps)):
+            for j in range(i + 1, len(comps)):
+                val = max(firsts[i].lam, firsts[j].lam)
+                if best is None or val < best[0]:
+                    best = (val, comps[i].mask, comps[j].mask, firsts[i], firsts[j])
+        for i, comp in enumerate(comps):
+            if firsts[i].lam < best[0] * (1.0 - 1e-12):
+                sub = _lambda2_connected(comp, norm, p, opts)
+                if sub[0] < best[0]:
+                    best = sub
     val, m1, m2, r1, r2 = best
     return BipartitionResult(
         lambda2=val, part1=m1, part2=m2,

@@ -15,9 +15,8 @@ import json
 import logging
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -191,14 +190,7 @@ def two_wulff_union_spec(norm: NormSpec, radius: float, separation_radii: float 
     return shape(wulff((0.0, 0.0), radius, norm), wulff((s, 0.0), radius, norm))
 
 
-def _map_p(cfg: ExperimentConfig, fn: Callable[[float], dict], threads: int) -> List[dict]:
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, cfg.p_list))
-    return [fn(p) for p in cfg.p_list]
-
-
-def run_lambda1(cfg: ExperimentConfig, threads: int = 1) -> Report:
+def run_lambda1(cfg: ExperimentConfig) -> Report:
     lab = _Lab(cfg)
     rep = Report("lambda1", cfg.echo())
 
@@ -208,11 +200,11 @@ def run_lambda1(cfg: ExperimentConfig, threads: int = 1) -> Report:
         rec["measure"] = measure(lab.grid(cfg.domain))
         return rec
 
-    rep.records = _map_p(cfg, job, threads)
+    rep.records = [job(p) for p in cfg.p_list]
     return rep
 
 
-def run_lambda2(cfg: ExperimentConfig, threads: int = 1) -> Report:
+def run_lambda2(cfg: ExperimentConfig) -> Report:
     lab = _Lab(cfg)
     rep = Report("lambda2", cfg.echo())
     h2 = cfg.h ** 2
@@ -228,11 +220,11 @@ def run_lambda2(cfg: ExperimentConfig, threads: int = 1) -> Report:
             "measure_part2": float(r.part2.sum() * h2),
         }
 
-    rep.records = _map_p(cfg, job, threads)
+    rep.records = [job(p) for p in cfg.p_list]
     return rep
 
 
-def run_faber_krahn(cfg: ExperimentConfig, threads: int = 1) -> Report:
+def run_faber_krahn(cfg: ExperimentConfig) -> Report:
     """|Omega|^{p/2} lambda_1(p, Omega) vs kappa^{p/2} lambda_1(p, W).
 
     The right side kappa^{p/2} lambda_1(p, W) is scale invariant, so it is
@@ -258,14 +250,14 @@ def run_faber_krahn(cfg: ExperimentConfig, threads: int = 1) -> Report:
             "left": left, "right": right, "ratio": left / right,
         }
 
-    rep.records = _map_p(cfg, job, threads)
+    rep.records = [job(p) for p in cfg.p_list]
     for rec in rep.records:
         rep.checks.append(check_record(
             f"faber_krahn_p_{rec['p']:g}", "ge", rec["left"], rec["right"], cfg.tolerance))
     return rep
 
 
-def run_hks(cfg: ExperimentConfig, threads: int = 1) -> Report:
+def run_hks(cfg: ExperimentConfig) -> Report:
     """lambda_2(p, Omega) vs lambda_2 of two disjoint Wulff shapes of half measure.
 
     lambda_2 of the equal-radii pair is lambda_1 of a single shape; it is
@@ -294,14 +286,14 @@ def run_hks(cfg: ExperimentConfig, threads: int = 1) -> Report:
                                 / (lam2_ref * (2.0 * half_area) ** (p / 2.0)),
         }
 
-    rep.records = _map_p(cfg, job, threads)
+    rep.records = [job(p) for p in cfg.p_list]
     for rec in rep.records:
         rep.checks.append(check_record(
             f"hks_p_{rec['p']:g}", "ge", rec["lambda2"], rec["lambda2_ref"], cfg.tolerance))
     return rep
 
 
-def run_p_limit(cfg: ExperimentConfig, threads: int = 1) -> Report:
+def run_p_limit(cfg: ExperimentConfig) -> Report:
     """lambda^{1/p} against the inradius reciprocals along an increasing p list."""
     lab = _Lab(cfg)
     rep = Report("p_limit", cfg.echo())
@@ -322,7 +314,7 @@ def run_p_limit(cfg: ExperimentConfig, threads: int = 1) -> Report:
             "monotone_diagnostic": p * root1,
         }
 
-    rep.records = _map_p(cfg, job, threads)
+    rep.records = [job(p) for p in cfg.p_list]
     for rec in rep.records:
         rec["rho_f"] = rho_f
         rec["rho_2f"] = rho2
@@ -337,7 +329,7 @@ def run_p_limit(cfg: ExperimentConfig, threads: int = 1) -> Report:
     return rep
 
 
-def run_distance(cfg: ExperimentConfig, threads: int = 1) -> Report:
+def run_distance(cfg: ExperimentConfig) -> Report:
     """Distance transform, inradii and the sup-norm Rayleigh identity."""
     lab = _Lab(cfg)
     rep = Report("distance", cfg.echo())
@@ -362,18 +354,10 @@ def run_distance(cfg: ExperimentConfig, threads: int = 1) -> Report:
     return rep
 
 
-def run_duality(cfg: ExperimentConfig, threads: int = 1) -> Report:
+def run_duality(cfg: ExperimentConfig) -> Report:
     rep = Report("duality", cfg.echo())
     r = check_duality(cfg.norm, cfg.samples)
-    rep.records.append({
-        "samples": cfg.samples,
-        "euler_primal": r.euler_primal,
-        "euler_polar": r.euler_polar,
-        "unit_grad_primal": r.unit_grad_primal,
-        "unit_grad_polar": r.unit_grad_polar,
-        "polar_inverse": r.polar_inverse,
-        "max_residual": r.max_residual,
-    })
+    rep.records.append({"samples": cfg.samples, **asdict(r)})
     rep.checks.append(check_record("duality_residual", "le", r.max_residual, DUALITY_TOL))
     return rep
 
@@ -389,9 +373,9 @@ _RUNNERS = {
 }
 
 
-def run(cfg: ExperimentConfig, threads: int = 1) -> Report:
+def run(cfg: ExperimentConfig) -> Report:
     t0 = time.perf_counter()
-    rep = _RUNNERS[cfg.experiment](cfg, threads=threads)
+    rep = _RUNNERS[cfg.experiment](cfg)
     rep.runtime_seconds = time.perf_counter() - t0
     log.info("experiment %s finished in %.2fs (passed=%s)",
              cfg.experiment, rep.runtime_seconds, rep.passed)

@@ -15,7 +15,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 from scipy import ndimage
 
-from .norms import NormSpec, linear_bounds, norm_from_dict, polar, polar_eval
+from .norms import NormSpec, euclidean, linear_bounds, norm_from_dict, polar, polar_eval
 
 RECTANGLE = "rectangle"
 WULFF = "wulff"
@@ -34,7 +34,7 @@ class ShapePrimitive:
     y0: float = 0.0
     x1: float = 0.0
     y1: float = 0.0
-    # disk / wulff
+    # disk / wulff; a Euclidean disk is the Wulff shape of the Euclidean norm
     center: Tuple[float, float] = (0.0, 0.0)
     radius: float = 0.0
     norm: Optional[NormSpec] = None
@@ -44,8 +44,8 @@ class ShapePrimitive:
             raise ValueError(f"unknown primitive kind {self.kind!r}")
         if self.mode not in ("add", "subtract"):
             raise ValueError(f"unknown primitive mode {self.mode!r}")
-        if self.kind == WULFF and self.norm is None:
-            raise ValueError("wulff primitive needs a norm")
+        if self.kind != RECTANGLE and self.norm is None:
+            raise ValueError(f"{self.kind} primitive needs a norm")
         if self.kind == RECTANGLE:
             if not self.x1 > self.x0:
                 raise ValueError(f"rectangle needs x1 > x0, got x0={self.x0}, x1={self.x1}")
@@ -79,7 +79,7 @@ class ShapePrimitive:
         if kind == RECTANGLE:
             return ShapePrimitive(kind, mode, x0=d["x0"], y0=d["y0"], x1=d["x1"], y1=d["y1"])
         center = tuple(float(c) for c in d["center"])
-        norm = norm_from_dict(d["norm"]) if kind == WULFF else None
+        norm = norm_from_dict(d["norm"]) if kind == WULFF else euclidean()
         return ShapePrimitive(kind, mode, center=center, radius=float(d["radius"]), norm=norm)
 
     def _margin_inside(self, px: np.ndarray, py: np.ndarray, m: float) -> np.ndarray:
@@ -89,8 +89,6 @@ class ShapePrimitive:
                     & (py >= self.y0 + m) & (py <= self.y1 - m))
         dx = px - self.center[0]
         dy = py - self.center[1]
-        if self.kind == EUCLIDEAN_DISK:
-            return np.hypot(dx, dy) <= self.radius - m
         # Euclidean margin m maps to a polar-norm margin m * max(F_polar on S^1)
         b_polar = linear_bounds(polar(self.norm))[1]
         return polar_eval(self.norm, np.stack([dx, dy], axis=-1)) <= self.radius - m * b_polar
@@ -98,11 +96,8 @@ class ShapePrimitive:
     def bbox(self) -> Tuple[float, float, float, float]:
         if self.kind == RECTANGLE:
             return self.x0, self.y0, self.x1, self.y1
-        if self.kind == EUCLIDEAN_DISK:
-            r = self.radius
-        else:
-            # {F_polar < r} is contained in the Euclidean ball of radius r*b_F
-            r = self.radius * linear_bounds(self.norm)[1]
+        # {F_polar < r} is contained in the Euclidean ball of radius r*b_F
+        r = self.radius * linear_bounds(self.norm)[1]
         cx, cy = self.center
         return cx - r, cy - r, cx + r, cy + r
 
@@ -135,7 +130,7 @@ def rectangle(x0: float, y0: float, x1: float, y1: float, mode: str = "add") -> 
 
 
 def euclidean_disk(center, radius: float, mode: str = "add") -> ShapePrimitive:
-    return ShapePrimitive(EUCLIDEAN_DISK, mode, center=tuple(center), radius=radius)
+    return ShapePrimitive(EUCLIDEAN_DISK, mode, center=tuple(center), radius=radius, norm=euclidean())
 
 
 def wulff(center, radius: float, norm: NormSpec, mode: str = "add") -> ShapePrimitive:

@@ -1,77 +1,83 @@
 """Smooth Finsler norms on R^2, their gradients, polar duals and Wulff shapes.
 
-Three families are supported, all even, convex and 1-homogeneous with
-closed-form polars:
-
-* ``euclidean``            F(x) = |x|                       (self-dual)
-* ``weighted_quadratic``   F(x) = sqrt(a1*x1^2 + a2*x2^2)   (dual weights 1/a1, 1/a2)
-* ``lq``                   F(x) = (|x1|^q + |x2|^q)^(1/q)   (dual exponent q/(q-1))
+Every norm is F(xi)^q = w1 |xi1|^q + w2 |xi2|^q with q in (1, inf) and
+weights other than 1 only at q = 2: even, convex, 1-homogeneous, with a
+closed-form polar of the same form.  The JSON spelling ``euclidean`` is
+w = (1, 1), q = 2; ``weighted_quadratic(a1, a2)`` is w = (a1, a2), q = 2;
+``lq(q)`` is w = (1, 1).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
-EUCLIDEAN = "euclidean"
-WEIGHTED_QUADRATIC = "weighted_quadratic"
-LQ = "lq"
-
 # inputs with |xi| below this are rejected by grad_norm
 DEGENERATE_NORM = 1e-14
-
-# angular midpoint nodes used by wulff_measure
-KAPPA_ANGLE_NODES = 65536
 
 
 @dataclass(frozen=True)
 class NormSpec:
-    """Immutable description of a norm; use the module constructors."""
+    """Immutable (w1, w2, q) of F(xi)^q = w1|xi1|^q + w2|xi2|^q; use the module constructors."""
 
-    family: str
-    a1: float = 1.0
-    a2: float = 1.0
+    w1: float = 1.0
+    w2: float = 1.0
     q: float = 2.0
 
     def __post_init__(self):
-        if self.family not in (EUCLIDEAN, WEIGHTED_QUADRATIC, LQ):
-            raise ValueError(f"unknown norm family {self.family!r}")
-        if self.family == WEIGHTED_QUADRATIC and (self.a1 <= 0 or self.a2 <= 0):
-            raise ValueError("weighted_quadratic needs positive weights")
-        if self.family == LQ and not 1.0 < self.q < np.inf:
-            raise ValueError("lq exponent must lie in (1, inf)")
+        # float() also turns a non-number, such as NormSpec("bogus"), into a ValueError
+        for name, w in (("w1 (a1 in JSON)", self.w1), ("w2 (a2 in JSON)", self.w2)):
+            if not 0.0 < float(w) < math.inf:
+                raise ValueError(f"norm weight {name} must be finite and positive, got {w!r}")
+        if not 1.0 < float(self.q) < math.inf:
+            raise ValueError(f"norm exponent q must lie in (1, inf), got {self.q!r}")
+        if self.q != 2.0 and not self.unit_weights:
+            raise ValueError(f"norm weights other than 1 need q = 2, got q={self.q!r}")
+
+    @property
+    def unit_weights(self) -> bool:
+        return self.w1 == 1.0 and self.w2 == 1.0
 
     def to_dict(self) -> dict:
-        if self.family == WEIGHTED_QUADRATIC:
-            return {"family": self.family, "a1": self.a1, "a2": self.a2}
-        if self.family == LQ:
-            return {"family": self.family, "q": self.q}
-        return {"family": self.family}
+        if self.q != 2.0:
+            return {"family": "lq", "q": self.q}
+        if self.unit_weights:
+            return {"family": "euclidean"}
+        return {"family": "weighted_quadratic", "a1": self.w1, "a2": self.w2}
 
 
 def euclidean() -> NormSpec:
-    return NormSpec(EUCLIDEAN)
+    return NormSpec()
 
 
 def weighted_quadratic(a1: float, a2: float) -> NormSpec:
     """F(x) = sqrt(a1*x1^2 + a2*x2^2); a1, a2 multiply the squared components."""
-    return NormSpec(WEIGHTED_QUADRATIC, a1=float(a1), a2=float(a2))
+    return NormSpec(float(a1), float(a2))
 
 
 def lq_norm(q: float) -> NormSpec:
-    return NormSpec(LQ, q=float(q))
+    return NormSpec(q=float(q))
+
+
+# JSON family -> (constructor, its keys besides "family")
+_SPELLINGS = {
+    "euclidean": (euclidean, ()),
+    "weighted_quadratic": (weighted_quadratic, ("a1", "a2")),
+    "lq": (lq_norm, ("q",)),
+}
 
 
 def norm_from_dict(d: dict) -> NormSpec:
     family = d.get("family")
-    if family == EUCLIDEAN:
-        return euclidean()
-    if family == WEIGHTED_QUADRATIC:
-        return weighted_quadratic(d["a1"], d["a2"])
-    if family == LQ:
-        return lq_norm(d["q"])
-    raise ValueError(f"unknown norm family {family!r}")
+    if family not in _SPELLINGS:
+        raise ValueError(f"unknown norm family {family!r}")
+    make, keys = _SPELLINGS[family]
+    if set(d) != {"family", *keys}:
+        raise ValueError(f"norm family {family!r} takes the key(s) {list(keys)}, "
+                         f"got {sorted(set(d) - {'family'})}")
+    return make(*(d[k] for k in keys))
 
 
 def _split(xi) -> Tuple[np.ndarray, np.ndarray, bool]:
@@ -83,56 +89,39 @@ def _split(xi) -> Tuple[np.ndarray, np.ndarray, bool]:
 def eval_norm(norm: NormSpec, xi) -> np.ndarray:
     """F(xi) for xi with shape (..., 2); returns shape (...)."""
     x, y, scalar = _split(xi)
-    if norm.family == EUCLIDEAN:
+    q = norm.q
+    if q != 2.0:
+        out = (np.abs(x) ** q + np.abs(y) ** q) ** (1.0 / q)
+    elif norm.unit_weights:
         out = np.hypot(x, y)
-    elif norm.family == WEIGHTED_QUADRATIC:
-        out = np.sqrt(norm.a1 * x * x + norm.a2 * y * y)
     else:
-        out = (np.abs(x) ** norm.q + np.abs(y) ** norm.q) ** (1.0 / norm.q)
+        out = np.sqrt(norm.w1 * x * x + norm.w2 * y * y)
     return float(out) if scalar else out
 
 
 def grad_norm(norm: NormSpec, xi) -> np.ndarray:
-    """Gradient of F at xi != 0, shape (..., 2).
+    """Gradient of F at xi != 0, shape (..., 2): the kernel's F dF over F.
 
     Satisfies <grad F, xi> = F(xi) and F_polar(grad F(xi)) = 1.
     """
-    x, y, scalar = _split(xi)
-    r = np.hypot(x, y)
-    if np.any(r < DEGENERATE_NORM):
+    x, y, _ = _split(xi)
+    if np.any(np.hypot(x, y) < DEGENERATE_NORM):
         raise ValueError("grad_norm: input vector too close to the origin")
-    if norm.family == EUCLIDEAN:
-        g = np.stack([x / r, y / r], axis=-1)
-    elif norm.family == WEIGHTED_QUADRATIC:
-        f = np.sqrt(norm.a1 * x * x + norm.a2 * y * y)
-        g = np.stack([norm.a1 * x / f, norm.a2 * y / f], axis=-1)
-    else:
-        q = norm.q
-        f = (np.abs(x) ** q + np.abs(y) ** q) ** (1.0 / q)
-        g = np.stack(
-            [np.sign(x) * (np.abs(x) / f) ** (q - 1.0),
-             np.sign(y) * (np.abs(y) / f) ** (q - 1.0)],
-            axis=-1,
-        )
-    return g
+    _, hx, hy = squared_with_halfgrad(norm, x, y)
+    f = eval_norm(norm, xi)
+    return np.stack([hx / f, hy / f], axis=-1)
 
 
 def polar(norm: NormSpec) -> NormSpec:
-    """Closed-form dual norm; polar(polar(F)) == F."""
-    if norm.family == EUCLIDEAN:
-        return norm
-    if norm.family == WEIGHTED_QUADRATIC:
-        return weighted_quadratic(1.0 / norm.a1, 1.0 / norm.a2)
-    return lq_norm(norm.q / (norm.q - 1.0))
+    """Closed-form dual norm; polar(polar(F)) == F up to rounding of 1/w and q'."""
+    if norm.q == 2.0:
+        return NormSpec(1.0 / norm.w1, 1.0 / norm.w2)
+    return NormSpec(q=norm.q / (norm.q - 1.0))
 
 
 def minkowski_frame(norm: NormSpec) -> Tuple[np.ndarray, float]:
     """(scale, p) with F(x) = ||scale * x||_p, the frame of a Minkowski-metric KD-tree."""
-    if norm.family == EUCLIDEAN:
-        return np.ones(2), 2.0
-    if norm.family == WEIGHTED_QUADRATIC:
-        return np.sqrt([norm.a1, norm.a2]), 2.0
-    return np.ones(2), norm.q
+    return np.sqrt([norm.w1, norm.w2]), norm.q
 
 
 def polar_eval(norm: NormSpec, x) -> np.ndarray:
@@ -141,25 +130,24 @@ def polar_eval(norm: NormSpec, x) -> np.ndarray:
 
 
 def eval_norm_sq(norm: NormSpec, xi) -> np.ndarray:
-    """F(xi)^2 without the square root for the quadratic families."""
+    """F(xi)^2, without a square root at q = 2."""
     x, y, scalar = _split(xi)
-    if norm.family == EUCLIDEAN:
+    q = norm.q
+    if q != 2.0:
+        out = (np.abs(x) ** q + np.abs(y) ** q) ** (2.0 / q)
+    elif norm.unit_weights:
+        # sup_rayleigh scores millions of pairs here; unit weights save two products each
         out = x * x + y * y
-    elif norm.family == WEIGHTED_QUADRATIC:
-        out = norm.a1 * x * x + norm.a2 * y * y
     else:
-        out = (np.abs(x) ** norm.q + np.abs(y) ** norm.q) ** (2.0 / norm.q)
+        out = norm.w1 * x * x + norm.w2 * y * y
     return float(out) if scalar else out
 
 
 def linear_bounds(norm: NormSpec) -> Tuple[float, float]:
     """Constants 0 < a <= b with a|x| <= F(x) <= b|x|."""
-    if norm.family == EUCLIDEAN:
-        return 1.0, 1.0
-    if norm.family == WEIGHTED_QUADRATIC:
-        return np.sqrt(min(norm.a1, norm.a2)), np.sqrt(max(norm.a1, norm.a2))
-    diag = 2.0 ** (1.0 / norm.q - 0.5)  # value of F on the unit diagonal direction
-    return min(1.0, diag), max(1.0, diag)
+    diag = 2.0 ** (1.0 / norm.q - 0.5)  # value of the unit-weight F on the unit diagonal direction
+    w_lo, w_hi = sorted((norm.w1, norm.w2))
+    return math.sqrt(w_lo) * min(1.0, diag), math.sqrt(w_hi) * max(1.0, diag)
 
 
 def squared_with_halfgrad(norm: NormSpec, gx: np.ndarray, gy: np.ndarray):
@@ -168,12 +156,11 @@ def squared_with_halfgrad(norm: NormSpec, gx: np.ndarray, gy: np.ndarray):
     F*grad(F) = grad(F^2)/2 stays bounded at the origin even where grad(F)
     itself is undefined, which is what the p-energy chain rule needs.
     """
-    if norm.family == EUCLIDEAN:
-        f2 = gx * gx + gy * gy
-        return f2, gx, gy
-    if norm.family == WEIGHTED_QUADRATIC:
-        f2 = norm.a1 * gx * gx + norm.a2 * gy * gy
-        return f2, norm.a1 * gx, norm.a2 * gy
+    if norm.q == 2.0:
+        if norm.unit_weights:
+            # the weighted form below costs about 3x as much per call
+            return gx * gx + gy * gy, gx, gy
+        return norm.w1 * gx * gx + norm.w2 * gy * gy, norm.w1 * gx, norm.w2 * gy
     q = norm.q
     ax, ay = np.abs(gx), np.abs(gy)
     m = np.maximum(ax, ay)
@@ -189,17 +176,17 @@ def squared_with_halfgrad(norm: NormSpec, gx: np.ndarray, gy: np.ndarray):
     return f2, hx, hy
 
 
-def wulff_measure(norm: NormSpec, n_angles: int = KAPPA_ANGLE_NODES) -> float:
+def wulff_measure(norm: NormSpec) -> float:
     """Area of the Wulff shape {F_polar < 1}.
 
-    Deterministic midpoint quadrature of the polar-coordinate area formula
-    area = 1/2 * integral of r(theta)^2 with r(theta) = 1/F_polar(u(theta));
-    the periodic midpoint rule converges superalgebraically for these norms.
+    F_polar(x) = ||diag(w)^(-1/2) x||_q' with q' the polar exponent, so the
+    shape is diag(sqrt w) times the unit l_q' ball, of area
+    4 Gamma(1 + 1/q')^2 / Gamma(1 + 2/q').
     """
-    theta = (np.arange(n_angles) + 0.5) * (2.0 * np.pi / n_angles)
-    u = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    r = 1.0 / polar_eval(norm, u)
-    return float(0.5 * np.sum(r * r) * (2.0 * np.pi / n_angles))
+    r = polar(norm).q
+    # at q' = 2 the Gamma form is 1 ulp above pi
+    ball = math.pi if r == 2.0 else 4.0 * math.gamma(1.0 + 1.0 / r) ** 2 / math.gamma(1.0 + 2.0 / r)
+    return math.sqrt(norm.w1 * norm.w2) * ball
 
 
 @dataclass(frozen=True)

@@ -253,13 +253,6 @@ def test_determinism_byte_identical():
     assert first == second
 
 
-def test_threads_do_not_change_output():
-    cfg = base_cfg(experiment="faber_krahn", p_list=[1.5, 2.0, 3.0])
-    a = report_json(run(cfg, threads=1))
-    b = report_json(run(cfg, threads=3))
-    assert a == b
-
-
 def test_cli_run_and_check_duality(tmp_path, capsys):
     cfg = {
         "experiment": "distance",

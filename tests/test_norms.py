@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import finsler_spectra as fs
-from finsler_spectra.norms import eval_norm_sq, linear_bounds, squared_with_halfgrad
+from finsler_spectra.norms import eval_norm_sq, linear_bounds, norm_from_dict, squared_with_halfgrad
 
 from conftest import ALL_NORMS
 
@@ -182,3 +184,69 @@ def test_squared_with_halfgrad_consistency():
         assert np.allclose(hx[nz], f * grad[:, 0], rtol=1e-10)
         assert np.allclose(hy[nz], f * grad[:, 1], rtol=1e-10)
         assert hx[0] == 0.0 and hy[0] == 0.0
+
+
+@pytest.mark.parametrize("norm, ball_q, stretch", [
+    (fs.lq_norm(1.5), 3.0, 1.0), (fs.lq_norm(3.0), 1.5, 1.0), (fs.lq_norm(5.5), 5.5 / 4.5, 1.0),
+    (fs.weighted_quadratic(0.3, 2.5), 2.0, np.sqrt(0.3 * 2.5)),
+])
+def test_wulff_measure_closed_form(norm, ball_q, stretch):
+    # the unit l_r ball has area (2/r) B(1/r, 1/r); the Wulff shape is that
+    # ball of the polar exponent, stretched by sqrt(w1 w2)
+    from scipy.special import beta
+
+    ball = (2.0 / ball_q) * beta(1.0 / ball_q, 1.0 / ball_q)
+    assert fs.wulff_measure(norm) == pytest.approx(stretch * ball, rel=1e-14)
+
+
+_NORMS = st.one_of(
+    st.builds(fs.weighted_quadratic, st.floats(0.05, 20.0), st.floats(0.05, 20.0)),
+    st.builds(fs.lq_norm, st.floats(1.2, 8.0)),
+)
+# components are 0 or at least 1e-2 in size: central differences of l_q
+# norms with q < 2 lose accuracy within a few steps of an axis
+_SIZES = st.one_of(st.just(0.0), st.floats(1e-2, 10.0), st.floats(-10.0, -1e-2))
+_VECS = st.tuples(_SIZES, _SIZES).filter(lambda v: v != (0.0, 0.0))
+
+
+@given(norm=_NORMS, a=_VECS, b=_VECS, t=_SIZES)
+@settings(max_examples=80, deadline=None)
+def test_norm_properties(norm, a, b, t):
+    a, b = np.array(a), np.array(b)
+    fa = fs.eval_norm(norm, a)
+    assert fs.check_duality(norm, 20).max_residual <= 1e-12
+    assert fs.eval_norm(norm, t * a) == pytest.approx(abs(t) * fa, rel=1e-13, abs=1e-300)
+    assert fs.eval_norm(norm, 0.5 * (a + b)) <= 0.5 * (fa + fs.eval_norm(norm, b)) * (1 + 1e-12)
+    step = 1e-6 * np.hypot(*a)
+    fd = [(fs.eval_norm(norm, a + step * e) - fs.eval_norm(norm, a - step * e)) / (2 * step)
+          for e in np.eye(2)]
+    assert np.allclose(fs.grad_norm(norm, a), fd, rtol=1e-5, atol=1e-7 * fa / np.hypot(*a))
+    assert fs.eval_norm(fs.polar(fs.polar(norm)), a) == pytest.approx(fa, rel=1e-12)
+    f2, hx, hy = squared_with_halfgrad(norm, a[:1], a[1:])
+    assert f2[0] == pytest.approx(fa ** 2, rel=1e-12)
+    assert [hx[0], hy[0]] == pytest.approx(fa * fs.grad_norm(norm, a), rel=1e-12, abs=1e-14 * fa)
+
+
+@pytest.mark.parametrize("d", [
+    {"family": "euclidean"},
+    {"family": "weighted_quadratic", "a1": 4.0, "a2": 1.0},
+    {"family": "lq", "q": 3.0},
+    {"family": "lq", "q": 4.0},
+])
+def test_norm_spellings_round_trip(d):
+    assert norm_from_dict(d).to_dict() == d
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: fs.weighted_quadratic(float("nan"), 1.0), "a1"),
+    (lambda: fs.weighted_quadratic(1.0, float("inf")), "a2"),
+    (lambda: fs.NormSpec(2.0, 1.0, 3.0), "weights"),
+    (lambda: norm_from_dict({"family": "lq"}), "'q'"),
+    (lambda: norm_from_dict({"family": "weighted_quadratic", "a1": 4.0}), "'a2'"),
+    (lambda: norm_from_dict({"family": "euclidean", "q": 3}), "'q'"),
+    (lambda: norm_from_dict({"family": "lq", "q": 3.0, "a1": 2.0}), "'a1'"),
+    (lambda: norm_from_dict({"family": "lq", "q": float("nan")}), "q"),
+])
+def test_bad_norm_input_is_rejected(make, field):
+    with pytest.raises(ValueError, match=field):
+        make()
