@@ -16,8 +16,10 @@ quadratic (q = 2) norms and all initial guesses.
 from __future__ import annotations
 
 import logging
+import math
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -25,9 +27,9 @@ import scipy.sparse.linalg as spla
 from scipy import ndimage
 
 from . import distance as _distance
-from .fem import (ScalarField, Triangulation, energy_from_terms, energy_p, energy_terms,
-                  gradient_from_terms, mass_gradient, mass_p, triangulate)
-from .geometry import DomainGrid, components
+from .fem import (ScalarField, Triangulation, _mass_gradient_values, energy_from_terms, energy_p,
+                  energy_terms, gradient_from_terms, mass_p, triangulate)
+from .geometry import DomainGrid, _check_keys, components
 from .norms import NormSpec, euclidean, polar_eval
 
 log = logging.getLogger(__name__)
@@ -49,6 +51,82 @@ class ConvergenceError(RuntimeError):
     """Raised when an eigenvalue solve ends far from stationarity."""
 
 
+_KINDS = ("triangulations", "p2_factorizations")
+
+
+class _GridContext:
+    """What one experiments.run() computes once per grid and keeps for the run.
+
+    It holds the triangulations, keyed by (h, origin, mask shape, mask
+    bytes), and the p=2 eigenpairs (one eigsh call serves k = 1 and 2),
+    keyed by that and the norm; their arrays are read-only.  It is active
+    only inside the ``with`` block, and only experiments.run() opens one, so
+    a direct library call computes everything afresh and nothing outlives a
+    run.  A miss goes through the public triangulate / solve_linear_p2.
+    """
+
+    def __init__(self):
+        self.kept: Dict[str, dict] = {kind: {} for kind in _KINDS}
+        self.built = dict.fromkeys(_KINDS, 0)
+        self.reused = dict.fromkeys(_KINDS, 0)
+        self._token = None
+
+    def __enter__(self) -> "_GridContext":
+        self._token = _CONTEXT.set(self)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        _CONTEXT.reset(self._token)
+        self.kept = {kind: {} for kind in _KINDS}
+
+    def lookup(self, kind: str, key):
+        value = self.kept[kind].get(key)
+        if value is not None:
+            self.reused[kind] += 1
+        return value
+
+    def keep(self, kind: str, key, value):
+        self.kept[kind][key] = value
+        self.built[kind] += 1
+        return value
+
+    def summary(self) -> str:
+        return "; ".join(f"{kind} built={self.built[kind]} reused={self.reused[kind]}"
+                         for kind in _KINDS)
+
+
+_CONTEXT: ContextVar[Optional[_GridContext]] = ContextVar("finsler_spectra_grid_context",
+                                                          default=None)
+
+
+def _grid_key(grid: DomainGrid):
+    return grid.h, grid.origin, grid.mask.shape, grid.mask.tobytes()
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.flags.writeable = False
+
+
+def _sparse_arrays(*mats):
+    return [a for m in mats for a in (m.data, m.indices, m.indptr)]
+
+
+def _triangulation(grid: DomainGrid) -> Triangulation:
+    """triangulate(grid), or inside experiments.run() the triangulation kept
+    for this mask: built once, with all its arrays (and its grid's) read-only."""
+    ctx = _CONTEXT.get()
+    if ctx is None:
+        return triangulate(grid)
+    key = _grid_key(grid)
+    tri = ctx.lookup("triangulations", key)
+    if tri is None:
+        tri = ctx.keep("triangulations", key, triangulate(grid))
+        _read_only(tri.node_index, tri.dof_nodes, tri.cell_ij, tri.grid.mask,
+                   tri.grid.component_id, *_sparse_arrays(tri.G, tri.GxT, tri.GyT))
+    return tri
+
+
 @dataclass(frozen=True)
 class SolverOptions:
     max_iter: int = 20000
@@ -63,9 +141,7 @@ class SolverOptions:
 
     @staticmethod
     def from_dict(d: dict) -> "SolverOptions":
-        unknown = sorted(set(d) - {"max_iter", "tol", "epsilon_schedule"})
-        if unknown:
-            raise ValueError(f"solver: unknown key(s) {unknown}")
+        _check_keys("solver", d, (), ("max_iter", "tol", "epsilon_schedule"))
         opts = SolverOptions()
         return replace(
             opts,
@@ -144,11 +220,13 @@ def _mass_root(tri: Triangulation, values: np.ndarray, p: float) -> float:
     # p-th root of the lumped mass in a form that cannot overflow for huge
     # line-search trials: mass^{1/p} = max|v| * (h^2 sum (|v|/max)^p)^{1/p}
     a = np.abs(values)
-    peak = a.max(initial=0.0)
-    if peak == 0.0 or not np.isfinite(peak):
+    peak = float(a.max(initial=0.0))
+    if peak == 0.0 or not math.isfinite(peak):
         raise ValueError("cannot normalize a zero or non-finite field")
-    root = peak * float(tri.h ** 2 * np.sum((a / peak) ** p)) ** (1.0 / p)
-    if root == 0.0 or not np.isfinite(root):
+    a /= peak
+    a **= p
+    root = peak * (tri.h ** 2 * float(a.sum())) ** (1.0 / p)
+    if root == 0.0 or not math.isfinite(root):
         raise ValueError("cannot normalize a zero or non-finite field")
     return root
 
@@ -163,15 +241,16 @@ def _ray_trial(tri, norm, p, eps, w, gw):
     Returns (quotient, energy terms, G(w / c), c); the mass of w / c is 1.
     A zero or non-finite w raises ValueError."""
     c = _mass_root(tri, w, p)
-    comps = (gw[0] / c, gw[1] / c)
+    comps = np.asarray(gw) / c
     terms = energy_terms(comps, norm, eps)
     return energy_from_terms(tri, terms, p), terms, comps, c
 
 
 def _tangent_gradient(tri, p, v, r, terms):
     """Gradient of the quotient at a unit-mass field, projected on the mass sphere's tangent."""
-    gm = mass_gradient(ScalarField(tri, v), p).values
-    g = gradient_from_terms(tri, terms, p).values - r * gm
+    gm = _mass_gradient_values(tri, v, p)
+    g = gradient_from_terms(tri, terms, p)
+    g -= r * gm
     g -= (float(g @ gm) / float(gm @ gm)) * gm
     return g
 
@@ -193,13 +272,16 @@ def _descent_stage(tri, norm, p, eps, values, tol, max_iter,
     (no descent representable), and the iteration cap: only the last one can
     signal genuine non-convergence.  A trial v - t g is evaluated along the
     ray: its gradient components are Gv - t Gg, from the accepted trial's
-    components and one Gg per step, so a step makes two sparse products
-    forward and two back however many trials it takes.
+    components and one Gg per step, so a step makes one stacked sparse
+    product forward and two back however many trials it takes.
     """
     v, gv, r, g = _evaluate(tri, norm, p, eps, values)
-    res = np.linalg.norm(g) * np.linalg.norm(v) / r
-    t = np.linalg.norm(v) / max(np.linalg.norm(g), 1e-300)
+    g_dot = float(g @ g)
+    v_norm = math.sqrt(v @ v)
+    res = math.sqrt(g_dot) * v_norm / r
+    t = v_norm / max(math.sqrt(g_dot), 1e-300)
     history = [r]
+    win, rtol = plateau
     it = 0
     trials = 0
     reason = "tol" if res <= tol else "maxiter"
@@ -210,14 +292,12 @@ def _descent_stage(tri, norm, p, eps, values, tol, max_iter,
         it += 1
         r_ref = max(history[-_NONMONOTONE_WINDOW:])
         accepted = False
-        g_dot = float(g @ g)
         gg = tri.gradient_components(g)
         for _ in range(40):
             trials += 1
             w = v - t * g
             try:
-                r_new, terms, comps, c = _ray_trial(
-                    tri, norm, p, eps, w, (gv[0] - t * gg[0], gv[1] - t * gg[1]))
+                r_new, terms, comps, c = _ray_trial(tri, norm, p, eps, w, gv - t * gg)
             except ValueError:
                 t *= 0.25
                 continue
@@ -237,15 +317,15 @@ def _descent_stage(tri, norm, p, eps, values, tol, max_iter,
             t = float(s @ s) / sy if it % 2 == 0 else sy / float(y @ y)
         else:
             t *= 2.0
-        t = float(np.clip(t, 1e-16, 1e12))
+        t = min(max(t, 1e-16), 1e12)
         v, gv, r, g = trial, comps, r_new, g_new
+        g_dot = float(g @ g)
         history.append(r)
-        win, rtol = plateau
         if len(history) > win and history[-win - 1] - r <= rtol * r:
             reason = "plateau"
             break
-        res = np.linalg.norm(g) * np.linalg.norm(v) / r
-    res = np.linalg.norm(g) * np.linalg.norm(v) / r
+        res = math.sqrt(g_dot) * math.sqrt(v @ v) / r
+    res = math.sqrt(g_dot) * math.sqrt(v @ v) / r
     if res <= tol:
         reason = "tol"
     log.debug("descent stage p=%g eps=%g dofs=%d iterations=%d trials=%d stop=%s residual=%.3e",
@@ -288,7 +368,7 @@ def solve_lambda1(
     """
     if not 1.0 < p < np.inf:
         raise ValueError("p must lie in (1, inf)")
-    tri = triangulate(grid)
+    tri = _triangulation(grid)
     total = 0
     res = np.inf
     reason = "tol"
@@ -299,7 +379,7 @@ def solve_lambda1(
         v = initial.values.copy()
         schedule = (0.0,)
     else:
-        v = solve_linear_p2(grid, _p2_stand_in(norm), 1).u.values
+        v = _linear_p2(grid, _p2_stand_in(norm), 1).u.values
         for q in _exponent_ladder(p)[:-1]:
             v, _, it, _, _ = _descent_stage(tri, norm, q, 0.0, v, coarse_tol,
                                             min(2000, opts.max_iter), plateau)
@@ -314,7 +394,7 @@ def solve_lambda1(
     # never increases the energy for these norms and pins the sign convention
     v, _, lam, g = _evaluate(tri, norm, p, 0.0, np.abs(v))
     u = ScalarField(tri, v)
-    res = float(np.linalg.norm(g) * np.linalg.norm(v) / lam)
+    res = math.sqrt(g @ g) * math.sqrt(v @ v) / lam
     # at large p the scaled residual has a floating-point floor that grows
     # with the quotient's curvature; a stage that still had descent headroom
     # when the iteration cap hit is the genuine failure signal
@@ -327,6 +407,55 @@ def solve_lambda1(
     return EigenResult(lam=float(lam), u=u, p=p, iterations=total, residual=res, nodal_count=count)
 
 
+class _LinearPairs:
+    """The two lowest eigenpairs of a grid's p=2 operator from one eigsh call;
+    the EigenResult of each k is built when first asked for."""
+
+    def __init__(self, tri: Triangulation, norm: NormSpec):
+        self.tri = tri
+        self.norm = norm
+        self.K = (tri.area * (norm.w1 * (tri.GxT @ tri.Gx) + norm.w2 * (tri.GyT @ tri.Gy))).tocsc()
+        self.solves = 0
+        if tri.ndof > 2:
+            lu = spla.splu(self.K)
+
+            def inverse(x):
+                self.solves += 1
+                return lu.solve(x)
+
+            op = spla.LinearOperator(self.K.shape, matvec=inverse, dtype=float)
+            v0 = np.random.default_rng(_SEED).standard_normal(tri.ndof)
+            self.w, self.vecs = spla.eigsh(self.K, k=2, sigma=0.0, OPinv=op, v0=v0)
+        else:
+            # ARPACK needs more unknowns than requested pairs
+            self.w, self.vecs = scipy.linalg.eigh(self.K.toarray())
+        self.read_only = False
+        self._results: Dict[int, EigenResult] = {}
+
+    def result(self, k: int) -> EigenResult:
+        tri = self.tri
+        if tri.ndof < k:
+            raise ValueError(f"eigenpair k={k} needs at least k interior nodes, got ndof={tri.ndof}")
+        if k in self._results:
+            return self._results[k]
+        v = self.vecs[:, np.argsort(self.w)[k - 1]]
+        if v.sum() < 0:
+            v = -v
+        v = _normalize(tri, v, 2.0)
+        u = ScalarField(tri, v)
+        lam = rayleigh_quotient(u, self.norm, 2.0)
+        m = tri.h ** 2  # lumped mass is m * identity
+        residual = float(np.linalg.norm(self.K @ v - lam * m * v) / (lam * m * np.linalg.norm(v)))
+        if residual > 1e-9:
+            raise ConvergenceError(f"linear p=2 oracle did not converge: k={k}, residual={residual:.2e}")
+        count, _ = nodal_domains(u)
+        if self.read_only:
+            _read_only(v)
+        self._results[k] = EigenResult(lam=lam, u=u, p=2.0, iterations=self.solves,
+                                       residual=residual, nodal_count=count)
+        return self._results[k]
+
+
 def solve_linear_p2(grid: DomainGrid, norm: NormSpec, k: int) -> EigenResult:
     """k-th eigenpair (k = 1 or 2) of the 5-point operator for quadratic (q = 2) norms.
 
@@ -336,44 +465,33 @@ def solve_linear_p2(grid: DomainGrid, norm: NormSpec, k: int) -> EigenResult:
     grids too small for ARPACK, from a dense solve.  The answer is the exact
     discrete minimizer the nonlinear solver targets.  Two pairs are computed
     even for k = 1: asked for one pair of a degenerate lambda_1 (two equal
-    components), ARPACK stops near a 1e-9 residual.  ``iterations`` counts
-    the LU solves; ``residual`` is the relative residual of the returned pair.
+    components), ARPACK stops near a 1e-9 residual.  Inside experiments.run()
+    both pairs are kept for the rest of the run.  ``iterations`` counts the
+    LU solves; ``residual`` is the relative residual of the returned pair.
     """
     if norm.q != 2.0:
         raise ValueError(f"the linear p=2 oracle needs a quadratic norm (q = 2), got q={norm.q!r}")
     if k not in (1, 2):
         raise ValueError("k must be 1 or 2")
-    tri = triangulate(grid)
+    tri = _triangulation(grid)
     if tri.ndof < k:
         raise ValueError(f"eigenpair k={k} needs at least k interior nodes, got ndof={tri.ndof}")
-    K = (tri.area * (norm.w1 * (tri.GxT @ tri.Gx) + norm.w2 * (tri.GyT @ tri.Gy))).tocsc()
-    m = tri.h ** 2  # lumped mass is m * identity
-    solves = 0
-    if tri.ndof > 2:
-        lu = spla.splu(K)
+    pairs = _LinearPairs(tri, norm)
+    ctx = _CONTEXT.get()
+    if ctx is not None:
+        pairs.read_only = True
+        _read_only(pairs.w, pairs.vecs, *_sparse_arrays(pairs.K))
+        ctx.keep("p2_factorizations", (_grid_key(grid), norm), pairs)
+    return pairs.result(k)
 
-        def inverse(x):
-            nonlocal solves
-            solves += 1
-            return lu.solve(x)
 
-        op = spla.LinearOperator(K.shape, matvec=inverse, dtype=float)
-        v0 = np.random.default_rng(_SEED).standard_normal(tri.ndof)
-        w, vecs = spla.eigsh(K, k=2, sigma=0.0, OPinv=op, v0=v0)
-    else:
-        # ARPACK needs more unknowns than requested pairs
-        w, vecs = scipy.linalg.eigh(K.toarray())
-    v = vecs[:, np.argsort(w)[k - 1]]
-    if v.sum() < 0:
-        v = -v
-    v = _normalize(tri, v, 2.0)
-    u = ScalarField(tri, v)
-    lam = rayleigh_quotient(u, norm, 2.0)
-    residual = float(np.linalg.norm(K @ v - lam * m * v) / (lam * m * np.linalg.norm(v)))
-    if residual > 1e-9:
-        raise ConvergenceError(f"linear p=2 oracle did not converge: k={k}, residual={residual:.2e}")
-    count, _ = nodal_domains(u)
-    return EigenResult(lam=lam, u=u, p=2.0, iterations=solves, residual=residual, nodal_count=count)
+def _linear_p2(grid: DomainGrid, norm: NormSpec, k: int) -> EigenResult:
+    """solve_linear_p2, or inside experiments.run() the pairs already computed for this grid."""
+    ctx = _CONTEXT.get()
+    pairs = None if ctx is None else ctx.lookup("p2_factorizations", (_grid_key(grid), norm))
+    if pairs is None:
+        return solve_linear_p2(grid, norm, k)
+    return pairs.result(k)
 
 
 def _part_opts(opts: SolverOptions) -> SolverOptions:
@@ -401,7 +519,7 @@ class _PartSolver:
             if warm is not None:
                 vals = warm[sub.mask]
                 if np.abs(vals).max(initial=0.0) > 0.0:
-                    initial = ScalarField(triangulate(sub), vals)
+                    initial = ScalarField(_triangulation(sub), vals)
             # warm incremental re-solves start next to a minimizer, so a loose
             # plateau is safe there; initial candidate solves keep the tight
             # one (BB stall phases would otherwise truncate the big descent)
@@ -447,7 +565,7 @@ def _split_candidates(grid: DomainGrid, norm: NormSpec) -> List[Tuple[np.ndarray
     cands = []
     # nodal split of the p=2 second eigenfunction
     try:
-        arr = solve_linear_p2(grid, _p2_stand_in(norm), 2).u.as_grid_array()
+        arr = _linear_p2(grid, _p2_stand_in(norm), 2).u.as_grid_array()
     except ConvergenceError as exc:
         log.warning("nodal bipartition candidate dropped: %s: %s", type(exc).__name__, exc)
     else:

@@ -24,7 +24,7 @@ from . import distance as dist
 from . import eigensolve as eig
 from .eigensolve import SolverOptions
 from .fem import triangulate
-from .geometry import DomainGrid, ShapeSpec, measure, rasterize, shape, wulff
+from .geometry import DomainGrid, ShapeSpec, _check_keys, measure, rasterize, shape, wulff
 from .norms import NormSpec, check_duality, norm_from_dict, wulff_measure
 
 log = logging.getLogger("finsler_spectra")
@@ -61,6 +61,8 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
+        _check_keys("config", d, ("experiment", "domain", "norm", "h"),
+                    ("p_list", "solver", "tolerance", "samples", "out"))
         return ExperimentConfig(
             experiment=d["experiment"],
             domain=ShapeSpec.from_dict(d["domain"]),
@@ -374,9 +376,13 @@ _RUNNERS = {
 
 
 def run(cfg: ExperimentConfig) -> Report:
+    """Run one experiment; triangulations and p=2 eigenpairs that repeat
+    within the run are computed once (see eigensolve._GridContext)."""
     t0 = time.perf_counter()
-    rep = _RUNNERS[cfg.experiment](cfg)
+    with eig._GridContext() as ctx:
+        rep = _RUNNERS[cfg.experiment](cfg)
     rep.runtime_seconds = time.perf_counter() - t0
+    log.debug("grid context: %s", ctx.summary())
     log.info("experiment %s finished in %.2fs (passed=%s)",
              cfg.experiment, rep.runtime_seconds, rep.passed)
     return rep

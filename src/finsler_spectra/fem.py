@@ -9,7 +9,6 @@ nonlinear solver and the linear p=2 oracle agree to rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,17 +29,18 @@ def _gradient_matrix(rows, plus, minus, h, ntri, ndof):
 class Triangulation:
     """Criss-cross P1 mesh over the interior nodes of a DomainGrid.
 
-    Gx, Gy map node values (Dirichlet-extended by zero) to the constant
-    gradient per triangle; each triangle has area h^2 / 2.
+    G stacks the x and y gradient operators: its first ntri rows map node
+    values (Dirichlet-extended by zero) to the constant x-derivative per
+    triangle, its last ntri rows to the y-derivative.  Each triangle has
+    area h^2 / 2.
     """
 
     grid: DomainGrid
     node_index: np.ndarray   # (nx, ny) int, -1 outside the mask
     dof_nodes: np.ndarray    # (ndof, 2) grid indices of the dofs
     cell_ij: np.ndarray      # (ncell, 2) lower-left corner of each kept cell
-    Gx: sp.csr_matrix        # (ntri, ndof); triangles are [lower cells; upper cells]
-    Gy: sp.csr_matrix
-    GxT: sp.csr_matrix
+    G: sp.csr_matrix         # (2 ntri, ndof) = [Gx; Gy]; triangles are [lower cells; upper cells]
+    GxT: sp.csr_matrix       # (ndof, ntri)
     GyT: sp.csr_matrix
 
     @property
@@ -49,7 +49,15 @@ class Triangulation:
 
     @property
     def ntri(self) -> int:
-        return self.Gx.shape[0]
+        return self.G.shape[0] // 2
+
+    @property
+    def Gx(self) -> sp.csr_matrix:
+        return self.G[:self.ntri]
+
+    @property
+    def Gy(self) -> sp.csr_matrix:
+        return self.G[self.ntri:]
 
     @property
     def h(self) -> float:
@@ -59,8 +67,12 @@ class Triangulation:
     def area(self) -> float:
         return 0.5 * self.grid.h ** 2
 
-    def gradient_components(self, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        return self.Gx @ values, self.Gy @ values
+    def gradient_components(self, values: np.ndarray) -> np.ndarray:
+        """(2, ntri) array whose rows are Gx @ values and Gy @ values.
+
+        One product with the stacked G; each row is computed as on its own.
+        """
+        return (self.G @ values).reshape(2, -1)
 
 
 def triangulate(grid: DomainGrid) -> Triangulation:
@@ -83,16 +95,15 @@ def triangulate(grid: DomainGrid) -> Triangulation:
     ndof = dof_nodes.shape[0]
     # lower triangle (A, B, C): gx = (B - A)/h, gy = (C - B)/h
     # upper triangle (A, D, C): gx = (C - D)/h, gy = (D - A)/h
-    Gx = sp.vstack([
+    G = sp.vstack([
         _gradient_matrix(rows, B, A, h, ncell, ndof),
         _gradient_matrix(rows, C, D, h, ncell, ndof),
-    ]).tocsr()
-    Gy = sp.vstack([
         _gradient_matrix(rows, C, B, h, ncell, ndof),
         _gradient_matrix(rows, D, A, h, ncell, ndof),
     ]).tocsr()
-    return Triangulation(grid, node_index, dof_nodes, cell_ij, Gx, Gy,
-                         Gx.T.tocsr(), Gy.T.tocsr())
+    ntri = 2 * ncell
+    return Triangulation(grid, node_index, dof_nodes, cell_ij, G,
+                         G[:ntri].T.tocsr(), G[ntri:].T.tocsr())
 
 
 @dataclass
@@ -131,8 +142,7 @@ def triangle_gradients(u: ScalarField) -> np.ndarray:
     return np.stack([gx, gy], axis=-1)
 
 
-def energy_terms(u: "ScalarField | Tuple[np.ndarray, np.ndarray]", norm: NormSpec,
-                 eps: float = 0.0):
+def energy_terms(u: "ScalarField | np.ndarray", norm: NormSpec, eps: float = 0.0):
     """Per-triangle (F^2 + eps^2, F dF) of grad u; energy and gradient share one pass.
 
     ``u`` is a ScalarField or its gradient components (gx, gy), which a line
@@ -140,29 +150,37 @@ def energy_terms(u: "ScalarField | Tuple[np.ndarray, np.ndarray]", norm: NormSpe
     """
     gx, gy = u.tri.gradient_components(u.values) if isinstance(u, ScalarField) else u
     f2, hx, hy = squared_with_halfgrad(norm, gx, gy)
-    return f2 + eps * eps, hx, hy
+    f2 += eps * eps
+    return f2, hx, hy
 
 
 def energy_from_terms(tri: Triangulation, terms, p: float) -> float:
     f2e = terms[0]
-    s = np.sqrt(f2e.max(initial=0.0))
+    s = np.sqrt(f2e.max(initial=0.0))  # a numpy scalar: s ** p overflows to inf, not an error
     if s == 0.0:
         return 0.0
     # scaled form keeps F^p finite for large p
-    return float(tri.area * s ** p * np.sum((f2e / (s * s)) ** (0.5 * p)))
+    x = f2e / (s * s)
+    x **= 0.5 * p
+    return float(tri.area * s ** p * x.sum())
 
 
-def gradient_from_terms(tri: Triangulation, terms, p: float) -> ScalarField:
+def gradient_from_terms(tri: Triangulation, terms, p: float) -> np.ndarray:
+    """Node values of the energy gradient, from the terms of energy_terms."""
     f2e, hx, hy = terms
     s2 = f2e.max(initial=0.0)
     if s2 == 0.0:
-        return ScalarField(tri, np.zeros(tri.ndof))
+        return np.zeros(tri.ndof)
     # w = p * (F^2+eps^2)^{(p-2)/2} scaled by s2 against overflow; 0 where F^2+eps^2 = 0
-    w = np.zeros_like(f2e)
-    np.power(f2e / s2, 0.5 * p - 1.0, out=w, where=f2e > 0.0)
+    w = f2e / s2
+    if p > 2.0:
+        w **= 0.5 * p - 1.0  # 0 stays 0 for a positive exponent: the mask below is moot
+    else:
+        np.power(w, 0.5 * p - 1.0, out=w, where=f2e > 0.0)
     w *= p * s2 ** (0.5 * p - 1.0)
     g = tri.GxT @ (w * hx) + tri.GyT @ (w * hy)
-    return ScalarField(tri, tri.area * g)
+    g *= tri.area
+    return g
 
 
 def energy_p(u: ScalarField, norm: NormSpec, p: float, eps: float = 0.0) -> float:
@@ -176,7 +194,7 @@ def energy_gradient(u: ScalarField, norm: NormSpec, p: float, eps: float = 0.0) 
     """Exact gradient of energy_p with respect to the node values."""
     if p <= 1.0:
         raise ValueError("p must exceed 1")
-    return gradient_from_terms(u.tri, energy_terms(u, norm, eps), p)
+    return ScalarField(u.tri, gradient_from_terms(u.tri, energy_terms(u, norm, eps), p))
 
 
 def mass_p(u: ScalarField, p: float) -> float:
@@ -194,9 +212,18 @@ def mass_gradient(u: ScalarField, p: float) -> ScalarField:
     """Exact gradient of mass_p: p h^2 |u_i|^{p-2} u_i per node."""
     if p <= 1.0:
         raise ValueError("p must exceed 1")
-    v = np.abs(u.values)
+    return ScalarField(u.tri, _mass_gradient_values(u.tri, u.values, p))
+
+
+def _mass_gradient_values(tri: Triangulation, values: np.ndarray, p: float) -> np.ndarray:
+    v = np.abs(values)
     m = v.max(initial=0.0)
     if m == 0.0:
-        return ScalarField(u.tri, np.zeros(u.tri.ndof))
-    g = p * u.tri.h ** 2 * m ** (p - 1.0) * np.sign(u.values) * (v / m) ** (p - 1.0)
-    return ScalarField(u.tri, g)
+        return np.zeros(tri.ndof)
+    # p h^2 m^{p-1} sign(u) (|u|/m)^{p-1}, scaled in place
+    v /= m
+    v **= p - 1.0
+    g = np.sign(values)
+    g *= p * tri.h ** 2 * m ** (p - 1.0)
+    g *= v
+    return g

@@ -24,6 +24,25 @@ EUCLIDEAN_DISK = "euclidean_disk"
 # 4-connectivity structuring element for component labelling
 _FOUR = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
+# JSON keys of each primitive type besides "type" and the optional "mode"
+_PRIMITIVE_KEYS = {
+    RECTANGLE: ("x0", "y0", "x1", "y1"),
+    EUCLIDEAN_DISK: ("center", "radius"),
+    WULFF: ("center", "radius", "norm"),
+}
+
+
+def _check_keys(where: str, d, required: tuple, optional: tuple = ()) -> None:
+    """Reject a JSON object with a missing or unknown key, naming the key(s)."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(d).__name__}")
+    missing = [k for k in required if k not in d]
+    if missing:
+        raise ValueError(f"{where}: missing key(s) {missing}")
+    unknown = sorted(set(d) - set(required) - set(optional))
+    if unknown:
+        raise ValueError(f"{where}: unknown key(s) {unknown}")
+
 
 @dataclass(frozen=True)
 class ShapePrimitive:
@@ -74,7 +93,10 @@ class ShapePrimitive:
 
     @staticmethod
     def from_dict(d: dict) -> "ShapePrimitive":
-        kind = d["type"]
+        kind = d.get("type") if isinstance(d, dict) else None
+        if not isinstance(kind, str) or kind not in _PRIMITIVE_KEYS:
+            raise ValueError(f"primitive type must be one of {list(_PRIMITIVE_KEYS)}, got {kind!r}")
+        _check_keys(f"{kind} primitive", d, ("type",) + _PRIMITIVE_KEYS[kind], ("mode",))
         mode = d.get("mode", "add")
         if kind == RECTANGLE:
             return ShapePrimitive(kind, mode, x0=d["x0"], y0=d["y0"], x1=d["x1"], y1=d["y1"])

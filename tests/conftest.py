@@ -130,3 +130,90 @@ def brute_force_eikonal_fraction(field, norm, tri, grad_tol=0.1, ridge_spread=3.
         return 1.0
     f = fs.eval_norm(norm, fs.triangle_gradients(field.as_field(tri)))
     return float(np.mean(np.abs(f[good] - 1.0) <= grad_tol))
+
+
+# Reference copies of the descent's building blocks as they were before the
+# lean rewrite (separate Gx, Gy products, ScalarField-wrapped gradients,
+# np.linalg.norm, np.clip).  The rewrite must reproduce them bit for bit.
+
+def reference_gradient_matrices(grid):
+    """(Gx, Gy) of the criss-cross mesh, assembled as two separate CSR matrices."""
+    import scipy.sparse as sp
+
+    def block(rows, plus, minus, h, ntri, ndof):
+        mp = plus >= 0
+        mm = minus >= 0
+        data = np.concatenate([np.full(mp.sum(), 1.0 / h), np.full(mm.sum(), -1.0 / h)])
+        ij = (np.concatenate([rows[mp], rows[mm]]), np.concatenate([plus[mp], minus[mm]]))
+        return sp.csr_matrix((data, ij), shape=(ntri, ndof))
+
+    mask = grid.mask
+    node_index = -np.ones(mask.shape, dtype=np.int64)
+    ndof = int(mask.sum())
+    node_index[mask] = np.arange(ndof)
+    a, b = node_index[:-1, :-1], node_index[1:, :-1]
+    c, d = node_index[1:, 1:], node_index[:-1, 1:]
+    keep = (a >= 0) | (b >= 0) | (c >= 0) | (d >= 0)
+    A, B, C, D = a[keep], b[keep], c[keep], d[keep]
+    rows = np.arange(A.size)
+    h = grid.h
+    Gx = sp.vstack([block(rows, B, A, h, A.size, ndof), block(rows, C, D, h, A.size, ndof)]).tocsr()
+    Gy = sp.vstack([block(rows, C, B, h, A.size, ndof), block(rows, D, A, h, A.size, ndof)]).tocsr()
+    return Gx, Gy
+
+
+def reference_mass_root(tri, values, p):
+    a = np.abs(values)
+    peak = a.max(initial=0.0)
+    if peak == 0.0 or not np.isfinite(peak):
+        raise ValueError("cannot normalize a zero or non-finite field")
+    root = peak * float(tri.h ** 2 * np.sum((a / peak) ** p)) ** (1.0 / p)
+    if root == 0.0 or not np.isfinite(root):
+        raise ValueError("cannot normalize a zero or non-finite field")
+    return root
+
+
+def reference_energy_terms(gx, gy, norm, eps):
+    f2, hx, hy = fs.norms.squared_with_halfgrad(norm, gx, gy)
+    return f2 + eps * eps, hx, hy
+
+
+def reference_energy_from_terms(tri, terms, p):
+    f2e = terms[0]
+    s = np.sqrt(f2e.max(initial=0.0))
+    if s == 0.0:
+        return 0.0
+    return float(tri.area * s ** p * np.sum((f2e / (s * s)) ** (0.5 * p)))
+
+
+def reference_mass_gradient(tri, values, p):
+    v = np.abs(values)
+    m = v.max(initial=0.0)
+    if m == 0.0:
+        return np.zeros(tri.ndof)
+    return p * tri.h ** 2 * m ** (p - 1.0) * np.sign(values) * (v / m) ** (p - 1.0)
+
+
+def reference_gradient_from_terms(tri, terms, p):
+    f2e, hx, hy = terms
+    s2 = f2e.max(initial=0.0)
+    if s2 == 0.0:
+        return np.zeros(tri.ndof)
+    w = np.zeros_like(f2e)
+    np.power(f2e / s2, 0.5 * p - 1.0, out=w, where=f2e > 0.0)
+    w *= p * s2 ** (0.5 * p - 1.0)
+    g = tri.GxT @ (w * hx) + tri.GyT @ (w * hy)
+    return tri.area * g
+
+
+def reference_tangent_gradient(tri, p, v, r, terms):
+    gm = reference_mass_gradient(tri, v, p)
+    g = reference_gradient_from_terms(tri, terms, p) - r * gm
+    g -= (float(g @ gm) / float(gm @ gm)) * gm
+    return g
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes and equal bytes: stricter than ==, it also tells -0.0 from 0.0."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()

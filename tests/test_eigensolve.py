@@ -1,4 +1,5 @@
 import logging
+import math
 import re
 
 import numpy as np
@@ -8,7 +9,21 @@ import finsler_spectra as fs
 from finsler_spectra.eigensolve import SolverOptions
 from finsler_spectra.fem import ScalarField
 
-from conftest import ALL_NORMS, lshape_spec, rect21_spec, two_disk_spec, unit_square_spec
+from conftest import (
+    ALL_NORMS,
+    lshape_spec,
+    rect21_spec,
+    reference_energy_from_terms,
+    reference_energy_terms,
+    reference_gradient_from_terms,
+    reference_gradient_matrices,
+    reference_mass_gradient,
+    reference_mass_root,
+    reference_tangent_gradient,
+    same_bits,
+    two_disk_spec,
+    unit_square_spec,
+)
 
 
 @pytest.fixture(scope="module")
@@ -351,3 +366,57 @@ def test_descent_stages_log_one_debug_line_each(caplog):
     assert sum(int(m[4]) for m in stages) == r.iterations
     assert all(int(m[5]) >= int(m[4]) for m in stages)
     assert stages[-1][6] == "tol" and float(stages[-1][7]) <= 1e-8
+
+
+@pytest.fixture(scope="module")
+def lshape_14():
+    grid = fs.rasterize(lshape_spec(), 1.0 / 14)
+    return grid, fs.triangulate(grid), reference_gradient_matrices(grid)
+
+
+def test_stacked_gradient_operator_keeps_the_separate_matrices(lshape_14):
+    _, tri, (Gx, Gy) = lshape_14
+    for got, want in ((tri.Gx, Gx), (tri.Gy, Gy), (tri.GxT, Gx.T.tocsr()), (tri.GyT, Gy.T.tocsr())):
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert same_bits(got.data, want.data)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150, 1e300, 1e-300])
+@pytest.mark.parametrize("eps", [0.0, 1e-2])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 8.0, 32.0])
+@pytest.mark.parametrize("family", sorted(ALL_NORMS))
+def test_lean_step_is_bit_identical_to_reference(lshape_14, family, p, eps, scale):
+    """Each rewritten block of a BB step against its pre-rewrite reference copy
+    (tests/conftest.py), on fields with exact zeros and peaks near 1e+-300."""
+    from finsler_spectra import eigensolve
+    from finsler_spectra.fem import energy_from_terms, energy_terms, gradient_from_terms, mass_gradient
+
+    _, tri, (Gx, Gy) = lshape_14
+    norm = ALL_NORMS[family]
+    rng = np.random.default_rng([int(p * 10), int(eps > 0)])
+    base = rng.standard_normal(tri.ndof)
+    base[rng.random(tri.ndof) < 0.15] = 0.0
+    v = scale * base
+    with np.errstate(all="ignore"):
+        gv = tri.gradient_components(v)
+        assert same_bits(gv[0], Gx @ v) and same_bits(gv[1], Gy @ v)
+        c = eigensolve._mass_root(tri, v, p)
+        assert same_bits(c, reference_mass_root(tri, v, p))
+        u = v / c
+        assert same_bits(mass_gradient(ScalarField(tri, u), p).values, reference_mass_gradient(tri, u, p))
+        # terms of the raw field (F^2 peaks from about 1e-300 to overflow) and of the unit-mass one
+        for comps in (gv, gv / c):
+            terms = energy_terms(comps, norm, eps)
+            ref = reference_energy_terms(comps[0], comps[1], norm, eps)
+            assert all(same_bits(a, b) for a, b in zip(terms, ref))
+            assert same_bits(energy_from_terms(tri, terms, p), reference_energy_from_terms(tri, ref, p))
+            assert same_bits(gradient_from_terms(tri, terms, p), reference_gradient_from_terms(tri, ref, p))
+        r = energy_from_terms(tri, terms, p)
+        assert math.isfinite(r) and r > 0.0
+        g = eigensolve._tangent_gradient(tri, p, u, r, terms)
+        assert same_bits(g, reference_tangent_gradient(tri, p, u, r, ref))
+        for x in (u, g):
+            assert same_bits(math.sqrt(x @ x), np.linalg.norm(x))
+    for t in (1e-300, 1e-16, 0.37, 5.0, 1e12, 3e20):
+        assert same_bits(min(max(t, 1e-16), 1e12), float(np.clip(t, 1e-16, 1e12)))

@@ -1,6 +1,7 @@
 import json
 import logging
 import os
+import re
 
 import numpy as np
 import pytest
@@ -75,6 +76,27 @@ def test_config_rejects_bad_domain_fields():
     rect = dict(square_domain()[0], x0=1.0, x1=0.5)
     with pytest.raises(ValueError, match="x1 > x0"):
         base_cfg(domain=[rect])
+
+
+def _valid_config(**over):
+    d = {"experiment": "lambda1", "domain": square_domain(), "norm": {"family": "euclidean"},
+         "h": 1.0 / 16}
+    d.update(over)
+    return d
+
+
+@pytest.mark.parametrize("raw, field", [
+    (_valid_config(p_lsit=[3]), "p_lsit"),
+    ({"experiment": "lambda1"}, "domain"),
+    (_valid_config(domain=[dict(square_domain()[0], radius=1.0)]), "radius"),
+    (_valid_config(domain=[{"type": "rectangle", "x0": 0.0, "y0": 0.0, "x1": 1.0}]), "y1"),
+    (_valid_config(domain=[{"type": "wulff", "center": [0.0, 0.0], "radius": 1.0}]), "norm"),
+    (_valid_config(domain=[{"center": [0.0, 0.0], "radius": 1.0}]), "type"),
+    (_valid_config(domain=[{"type": "circle", "center": [0.0, 0.0], "radius": 1.0}]), "circle"),
+])
+def test_config_rejects_unknown_and_missing_keys(raw, field):
+    with pytest.raises(ValueError, match=field):
+        ExperimentConfig.from_dict(raw)
 
 
 def test_debug_log_leaves_distance_report_unchanged(tmp_path, monkeypatch, capsys):
@@ -295,3 +317,128 @@ def test_cli_rejects_unknown_format(tmp_path):
     cfg_path.write_text("{}")
     with pytest.raises(SystemExit):
         cli.main(["run", "--config", str(cfg_path), "--format", "xml"])
+
+
+def lshape_domain():
+    return square_domain() + [{"type": "rectangle", "mode": "subtract",
+                               "x0": 0.5, "y0": 0.5, "x1": 1.01, "y1": 1.01}]
+
+
+def hks_config(norm=None):
+    return {"experiment": "hks", "domain": lshape_domain(), "norm": norm or {"family": "euclidean"},
+            "h": 1.0 / 12, "p_list": [1.5, 2.0, 3.0], "solver": {"max_iter": 2500}}
+
+
+def test_grid_context_keeps_reports_byte_identical():
+    from finsler_spectra import experiments
+
+    cfg = ExperimentConfig.from_dict(hks_config({"family": "lq", "q": 3.0}))
+    first = report_json(run(cfg))
+    assert report_json(run(cfg)) == first
+    # the runner called outside run() has no grid context and computes every grid afresh
+    assert report_json(experiments.run_hks(cfg)) == first
+
+
+def test_grid_context_triangulates_and_factorizes_each_grid_once(monkeypatch):
+    from finsler_spectra import eigensolve, experiments
+
+    tris, factorizations = [], []
+    triangulate, solve_linear_p2 = eigensolve.triangulate, eigensolve.solve_linear_p2
+
+    def counted_triangulate(grid):
+        tris.append(eigensolve._grid_key(grid))
+        return triangulate(grid)
+
+    def counted_solve_linear_p2(grid, norm, k):
+        factorizations.append((eigensolve._grid_key(grid), norm))
+        return solve_linear_p2(grid, norm, k)
+
+    monkeypatch.setattr(eigensolve, "triangulate", counted_triangulate)
+    monkeypatch.setattr(eigensolve, "solve_linear_p2", counted_solve_linear_p2)
+    for norm in ({"family": "euclidean"}, {"family": "lq", "q": 3.0}):
+        cfg = ExperimentConfig.from_dict(hks_config(norm))
+        tris.clear()
+        factorizations.clear()
+        run(cfg)
+        assert len(tris) == len(set(tris)) > 1
+        assert len(factorizations) == len(set(factorizations)) > 1
+        # without the context the same runner repeats both
+        tris.clear()
+        factorizations.clear()
+        experiments.run_hks(cfg)
+        assert len(tris) > len(set(tris))
+        assert len(factorizations) > len(set(factorizations))
+
+
+def test_grid_context_values_are_read_only():
+    from finsler_spectra import eigensolve
+
+    grid = fs.rasterize(fs.ShapeSpec.from_dict(lshape_domain()), 1.0 / 12)
+    norm = fs.euclidean()
+    with eigensolve._GridContext() as ctx:
+        tri = eigensolve._triangulation(grid)
+        pair = eigensolve._linear_p2(grid, norm, 2)
+        assert eigensolve._triangulation(grid) is tri
+        assert eigensolve._linear_p2(grid, norm, 2) is pair
+        (pairs,) = ctx.kept["p2_factorizations"].values()
+        kept = [tri.node_index, tri.dof_nodes, tri.cell_ij, tri.grid.mask, tri.grid.component_id,
+                pair.u.values, pairs.w, pairs.vecs]
+        for mat in (tri.G, tri.GxT, tri.GyT, pairs.K):
+            kept += [mat.data, mat.indices, mat.indptr]
+        for a in kept:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = a.copy()
+    assert ctx.built == {"triangulations": 1, "p2_factorizations": 1}
+    # outside a context every call builds a fresh, writable value
+    again = eigensolve._triangulation(grid)
+    assert again is not tri and again.node_index.flags.writeable and again.G.data.flags.writeable
+    assert eigensolve._linear_p2(grid, norm, 2).u.values.flags.writeable
+
+
+def test_grid_context_ends_with_the_run(monkeypatch):
+    from finsler_spectra import eigensolve, experiments
+
+    seen = []
+    run_lambda1 = experiments.run_lambda1
+
+    def spy(cfg):
+        seen.append(eigensolve._CONTEXT.get())
+        return run_lambda1(cfg)
+
+    def failing(cfg):
+        seen.append(eigensolve._CONTEXT.get())
+        raise RuntimeError("runner failed")
+
+    monkeypatch.setitem(experiments._RUNNERS, "lambda1", spy)
+    run(base_cfg(h=1.0 / 16))
+    run(base_cfg(h=1.0 / 16))
+    monkeypatch.setitem(experiments._RUNNERS, "lambda1", failing)
+    with pytest.raises(RuntimeError):
+        run(base_cfg(h=1.0 / 16))
+    assert len(seen) == 3 and len({id(c) for c in seen}) == 3 and None not in seen
+    assert eigensolve._CONTEXT.get() is None
+    assert not any(kept for c in seen for kept in c.kept.values())
+
+
+def test_grid_context_logs_one_debug_line_per_run(tmp_path, monkeypatch, capsys):
+    cfg_path = tmp_path / "hks.json"
+    cfg_path.write_text(json.dumps(hks_config()))
+    pattern = re.compile(r"grid context: triangulations built=(\d+) reused=(\d+); "
+                         r"p2_factorizations built=(\d+) reused=(\d+)$")
+    reports = []
+    for level in ("error", "debug"):
+        monkeypatch.setenv("FS_LOG", level)
+        out = tmp_path / level
+        cli.main(["run", "--config", str(cfg_path), "--out", str(out)])
+        lines = [line for line in capsys.readouterr().err.splitlines() if "grid context:" in line]
+        reports.append((out / "report.json").read_bytes())
+        if level == "error":
+            assert lines == []
+            continue
+        assert len(lines) == 1
+        counts = [int(n) for n in pattern.search(lines[0]).groups()]
+        # one connected domain: its p=2 pairs serve lambda_1 at every p and the nodal
+        # split candidate of each lambda_2 search
+        assert all(counts)
+    assert reports[0] == reports[1]
+    assert b"grid context" not in reports[1]
