@@ -29,12 +29,11 @@ from scipy import ndimage
 from . import distance as _distance
 from .fem import (ScalarField, Triangulation, _mass_gradient_values, energy_from_terms, energy_p,
                   energy_terms, gradient_from_terms, mass_p, triangulate)
-from .geometry import DomainGrid, _check_keys, components
+from .geometry import _FOUR, DomainGrid, _check_keys, components
 from .norms import NormSpec, euclidean, polar_eval
 
 log = logging.getLogger(__name__)
 
-_FOUR = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 _SEED = 0
 
 # a solve whose scaled stationarity residual stays above this is reported failed;
@@ -409,7 +408,8 @@ def solve_lambda1(
 
 class _LinearPairs:
     """The two lowest eigenpairs of a grid's p=2 operator from one eigsh call;
-    the EigenResult of each k is built when first asked for."""
+    the EigenResult of each k is built when first asked for, with a read-only
+    field when the pairs are kept read-only by a grid context."""
 
     def __init__(self, tri: Triangulation, norm: NormSpec):
         self.tri = tri
@@ -429,7 +429,6 @@ class _LinearPairs:
         else:
             # ARPACK needs more unknowns than requested pairs
             self.w, self.vecs = scipy.linalg.eigh(self.K.toarray())
-        self.read_only = False
         self._results: Dict[int, EigenResult] = {}
 
     def result(self, k: int) -> EigenResult:
@@ -449,7 +448,7 @@ class _LinearPairs:
         if residual > 1e-9:
             raise ConvergenceError(f"linear p=2 oracle did not converge: k={k}, residual={residual:.2e}")
         count, _ = nodal_domains(u)
-        if self.read_only:
+        if not self.vecs.flags.writeable:
             _read_only(v)
         self._results[k] = EigenResult(lam=lam, u=u, p=2.0, iterations=self.solves,
                                        residual=residual, nodal_count=count)
@@ -479,7 +478,6 @@ def solve_linear_p2(grid: DomainGrid, norm: NormSpec, k: int) -> EigenResult:
     pairs = _LinearPairs(tri, norm)
     ctx = _CONTEXT.get()
     if ctx is not None:
-        pairs.read_only = True
         _read_only(pairs.w, pairs.vecs, *_sparse_arrays(pairs.K))
         ctx.keep("p2_factorizations", (_grid_key(grid), norm), pairs)
     return pairs.result(k)

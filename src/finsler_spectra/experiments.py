@@ -4,8 +4,9 @@ Each runner computes the quantities of one verification experiment
 (Faber-Krahn, Hong-Krahn-Szego, scaling, the p -> infinity limits, distance
 identities, norm duality), collects per-p records, and emits inequality
 checks whose pass flags are pure functions of the serialized left/right
-values.  Reports serialize deterministically: re-running a config yields
-byte-identical files (wall-clock timings are logged, never serialized).
+values.  Reports serialize deterministically: re-running a config under the
+same BLAS thread count yields byte-identical files (wall-clock timings are
+logged, never serialized).
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import logging
 import os
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -24,7 +25,8 @@ from . import distance as dist
 from . import eigensolve as eig
 from .eigensolve import SolverOptions
 from .fem import triangulate
-from .geometry import DomainGrid, ShapeSpec, _check_keys, measure, rasterize, shape, wulff
+from .geometry import (DomainGrid, ShapeSpec, _check_keys, _grid_frame, measure, rasterize, shape,
+                       wulff)
 from .norms import NormSpec, check_duality, norm_from_dict, wulff_measure
 
 log = logging.getLogger("finsler_spectra")
@@ -56,6 +58,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if not 0.0 < self.h < np.inf:
             raise ValueError(f"h must be finite and positive, got {self.h}")
+        _grid_frame(self.domain, self.h)  # rejects a frame above MAX_GRID_NODES
         if self.experiment in ("lambda1", "lambda2", "faber_krahn", "hks", "p_limit") and not self.p_list:
             raise ValueError("p_list must be nonempty for eigenvalue experiments")
 
@@ -97,22 +100,21 @@ def check_record(name: str, kind: str, left: float, right: float, tolerance: flo
     """Inequality record; `passed` is recomputable from the serialized fields."""
     left, right = float(left), float(right)
     if kind == "ge":
-        passed = left >= right * (1.0 - tolerance)
         margin = left / right - 1.0 if right != 0.0 else np.inf
     elif kind == "le":
-        passed = left <= right + tolerance
         margin = right - left
     else:
         raise ValueError(f"unknown check kind {kind!r}")
-    return {
+    record = {
         "name": name,
         "kind": kind,
         "left": left,
         "right": right,
         "tolerance": float(tolerance),
         "margin": float(margin),
-        "passed": bool(passed),
     }
+    record["passed"] = bool(recheck(record))
+    return record
 
 
 def recheck(record: dict) -> bool:
@@ -144,44 +146,6 @@ class Report:
         }
 
 
-class _Lab:
-    """Shared rasterizations and eigenvalue solves within one experiment run."""
-
-    def __init__(self, cfg: ExperimentConfig):
-        self.cfg = cfg
-        self._grids: Dict[str, DomainGrid] = {}
-        self._lam1: Dict[str, eig.EigenResult] = {}
-        self._lam2: Dict[str, eig.BipartitionResult] = {}
-
-    @staticmethod
-    def _domain_key(spec: ShapeSpec) -> str:
-        return json.dumps(spec.to_dict(), sort_keys=True)
-
-    def grid(self, spec: ShapeSpec) -> DomainGrid:
-        key = self._domain_key(spec)
-        if key not in self._grids:
-            self._grids[key] = rasterize(spec, self.cfg.h)
-        return self._grids[key]
-
-    def lambda1(self, spec: ShapeSpec, p: float) -> eig.EigenResult:
-        key = f"{self._domain_key(spec)}|{p!r}"
-        if key not in self._lam1:
-            t0 = time.perf_counter()
-            self._lam1[key] = eig.solve_lambda1(self.grid(spec), self.cfg.norm, p, self.cfg.solver)
-            log.info("lambda1 p=%g dofs=%d took %.2fs", p,
-                     self.grid(spec).interior_count, time.perf_counter() - t0)
-        return self._lam1[key]
-
-    def lambda2(self, spec: ShapeSpec, p: float) -> eig.BipartitionResult:
-        key = f"{self._domain_key(spec)}|{p!r}"
-        if key not in self._lam2:
-            t0 = time.perf_counter()
-            self._lam2[key] = eig.solve_lambda2(self.grid(spec), self.cfg.norm, p, self.cfg.solver)
-            log.info("lambda2 p=%g dofs=%d took %.2fs", p,
-                     self.grid(spec).interior_count, time.perf_counter() - t0)
-        return self._lam2[key]
-
-
 def unit_wulff_spec(norm: NormSpec, radius: float = 1.0) -> ShapeSpec:
     return shape(wulff((0.0, 0.0), radius, norm))
 
@@ -192,14 +156,21 @@ def two_wulff_union_spec(norm: NormSpec, radius: float, separation_radii: float 
     return shape(wulff((0.0, 0.0), radius, norm), wulff((s, 0.0), radius, norm))
 
 
+def _solve(label: str, solve, grid: DomainGrid, cfg: ExperimentConfig, p: float):
+    """solve(grid, norm, p, solver) for one top-level solve, logged at INFO as `label`."""
+    t0 = time.perf_counter()
+    result = solve(grid, cfg.norm, p, cfg.solver)
+    log.info("%s p=%g dofs=%d took %.2fs", label, p, grid.interior_count, time.perf_counter() - t0)
+    return result
+
+
 def run_lambda1(cfg: ExperimentConfig) -> Report:
-    lab = _Lab(cfg)
     rep = Report("lambda1", cfg.echo())
+    grid = rasterize(cfg.domain, cfg.h)
 
     def job(p: float) -> dict:
-        r = lab.lambda1(cfg.domain, p)
-        rec = r.to_dict()
-        rec["measure"] = measure(lab.grid(cfg.domain))
+        rec = _solve("lambda1", eig.solve_lambda1, grid, cfg, p).to_dict()
+        rec["measure"] = measure(grid)
         return rec
 
     rep.records = [job(p) for p in cfg.p_list]
@@ -207,12 +178,12 @@ def run_lambda1(cfg: ExperimentConfig) -> Report:
 
 
 def run_lambda2(cfg: ExperimentConfig) -> Report:
-    lab = _Lab(cfg)
     rep = Report("lambda2", cfg.echo())
+    grid = rasterize(cfg.domain, cfg.h)
     h2 = cfg.h ** 2
 
     def job(p: float) -> dict:
-        r = lab.lambda2(cfg.domain, p)
+        r = _solve("lambda2", eig.solve_lambda2, grid, cfg, p)
         return {
             "p": p,
             "lambda2": r.lambda2,
@@ -234,16 +205,16 @@ def run_faber_krahn(cfg: ExperimentConfig) -> Report:
     the half-cell boundary shrink then cancels to first order exactly as it
     does on the left, which keeps the equality case flat in h.
     """
-    lab = _Lab(cfg)
     rep = Report("faber_krahn", cfg.echo())
     kappa = wulff_measure(cfg.norm)
-    wspec = unit_wulff_spec(cfg.norm)
+    grid = rasterize(cfg.domain, cfg.h)
+    grid_w = rasterize(unit_wulff_spec(cfg.norm), cfg.h)
+    area = measure(grid)
+    area_w = measure(grid_w)
 
     def job(p: float) -> dict:
-        lam = lab.lambda1(cfg.domain, p).lam
-        lam_w = lab.lambda1(wspec, p).lam
-        area = measure(lab.grid(cfg.domain))
-        area_w = measure(lab.grid(wspec))
+        lam = _solve("lambda1", eig.solve_lambda1, grid, cfg, p).lam
+        lam_w = _solve("lambda1", eig.solve_lambda1, grid_w, cfg, p).lam
         left = area ** (p / 2.0) * lam
         right = area_w ** (p / 2.0) * lam_w
         return {
@@ -267,17 +238,17 @@ def run_hks(cfg: ExperimentConfig) -> Report:
     rasterized reference shape so the boundary-shrink bias cancels against
     the one in lambda_2(Omega).
     """
-    lab = _Lab(cfg)
     rep = Report("hks", cfg.echo())
     kappa = wulff_measure(cfg.norm)
-    area = measure(lab.grid(cfg.domain))
+    grid = rasterize(cfg.domain, cfg.h)
+    area = measure(grid)
     radius = float(np.sqrt(0.5 * area / kappa))
-    ref_spec = unit_wulff_spec(cfg.norm, radius)
+    grid_ref = rasterize(unit_wulff_spec(cfg.norm, radius), cfg.h)
+    half_area = measure(grid_ref)
 
     def job(p: float) -> dict:
-        lam2 = lab.lambda2(cfg.domain, p).lambda2
-        lam1_ref = lab.lambda1(ref_spec, p).lam
-        half_area = measure(lab.grid(ref_spec))
+        lam2 = _solve("lambda2", eig.solve_lambda2, grid, cfg, p).lambda2
+        lam1_ref = _solve("lambda1", eig.solve_lambda1, grid_ref, cfg, p).lam
         lam2_ref = lam1_ref * (half_area / (0.5 * area)) ** (p / 2.0)
         return {
             "p": p, "lambda2": lam2, "lambda2_ref": lam2_ref,
@@ -297,16 +268,15 @@ def run_hks(cfg: ExperimentConfig) -> Report:
 
 def run_p_limit(cfg: ExperimentConfig) -> Report:
     """lambda^{1/p} against the inradius reciprocals along an increasing p list."""
-    lab = _Lab(cfg)
     rep = Report("p_limit", cfg.echo())
-    grid = lab.grid(cfg.domain)
+    grid = rasterize(cfg.domain, cfg.h)
     dfield = dist.distance_transform(grid, cfg.norm)
     rho_f, _ = dist.inradius(dfield)
     rho2 = dist.two_wulff_radius(dfield, cfg.norm).rho2
 
     def job(p: float) -> dict:
-        lam1 = lab.lambda1(cfg.domain, p).lam
-        lam2 = lab.lambda2(cfg.domain, p).lambda2
+        lam1 = _solve("lambda1", eig.solve_lambda1, grid, cfg, p).lam
+        lam2 = _solve("lambda2", eig.solve_lambda2, grid, cfg, p).lambda2
         root1 = lam1 ** (1.0 / p)
         root2 = lam2 ** (1.0 / p)
         return {
@@ -333,9 +303,8 @@ def run_p_limit(cfg: ExperimentConfig) -> Report:
 
 def run_distance(cfg: ExperimentConfig) -> Report:
     """Distance transform, inradii and the sup-norm Rayleigh identity."""
-    lab = _Lab(cfg)
     rep = Report("distance", cfg.echo())
-    grid = lab.grid(cfg.domain)
+    grid = rasterize(cfg.domain, cfg.h)
     dfield = dist.distance_transform(grid, cfg.norm)
     rho_f, argmax = dist.inradius(dfield)
     rho2 = dist.two_wulff_radius(dfield, cfg.norm).rho2

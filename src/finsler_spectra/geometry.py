@@ -21,6 +21,9 @@ RECTANGLE = "rectangle"
 WULFF = "wulff"
 EUCLIDEAN_DISK = "euclidean_disk"
 
+# largest grid frame rasterize builds; a smaller h is rejected before any allocation
+MAX_GRID_NODES = 2 ** 22
+
 # 4-connectivity structuring element for component labelling
 _FOUR = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
@@ -220,6 +223,22 @@ def _label(mask: np.ndarray) -> np.ndarray:
     return lab.astype(np.int32) - 1
 
 
+def _grid_frame(spec: ShapeSpec, h: float, pad: int = 2) -> Tuple[Tuple[float, float], int, int]:
+    """(origin, nx, ny) of the h-lattice frame around spec's bounding box,
+    checked against MAX_GRID_NODES before anything is allocated."""
+    if not 0.0 < h < np.inf:
+        raise ValueError(f"cell size h must be finite and positive, got {h}")
+    x0, y0, x1, y1 = spec.bbox()
+    lo = np.floor(np.divide((x0, y0), h))
+    hi = np.ceil(np.divide((x1, y1), h))
+    nx, ny = hi - lo + 2 * pad + 1
+    if not nx * ny <= MAX_GRID_NODES:
+        raise ValueError(f"h={h} gives a {nx:.0f} x {ny:.0f} node grid, "
+                         f"above the limit of {MAX_GRID_NODES} nodes")
+    i0, j0 = int(lo[0]) - pad, int(lo[1]) - pad
+    return (i0 * h, j0 * h), int(nx), int(ny)
+
+
 def rasterize(spec: ShapeSpec, h: float, pad: int = 2) -> DomainGrid:
     """Rasterize a shape spec onto the h-lattice.
 
@@ -227,16 +246,7 @@ def rasterize(spec: ShapeSpec, h: float, pad: int = 2) -> DomainGrid:
     multiples of h, and a node is interior iff it lies in the composed set
     with a half-cell margin (add primitives shrunk, subtracted ones grown).
     """
-    if not 0.0 < h < np.inf:
-        raise ValueError(f"cell size h must be finite and positive, got {h}")
-    x0, y0, x1, y1 = spec.bbox()
-    i0 = int(np.floor(x0 / h)) - pad
-    j0 = int(np.floor(y0 / h)) - pad
-    i1 = int(np.ceil(x1 / h)) + pad
-    j1 = int(np.ceil(y1 / h)) + pad
-    nx, ny = i1 - i0 + 1, j1 - j0 + 1
-    origin = (i0 * h, j0 * h)
-
+    origin, nx, ny = _grid_frame(spec, h, pad)
     px = origin[0] + h * np.arange(nx)[:, None] + np.zeros((1, ny))
     py = origin[1] + h * np.arange(ny)[None, :] + np.zeros((nx, 1))
     m = 0.5 * h

@@ -69,6 +69,18 @@ def test_config_rejects_non_finite_h(h):
         base_cfg(h=h)
 
 
+def test_config_rejects_a_grid_above_the_node_limit_at_parse_time(monkeypatch):
+    from finsler_spectra import experiments
+
+    def no_rasterize(*args, **kwargs):
+        raise AssertionError("the config was rasterized while it was parsed")
+
+    monkeypatch.setattr(experiments, "rasterize", no_rasterize)
+    with pytest.raises(ValueError, match=r"h=1e-07 gives a \d+ x \d+ node grid"):
+        base_cfg(h=1e-7)
+    assert base_cfg(h=1.0 / 256).h == 1.0 / 256
+
+
 def test_config_rejects_bad_domain_fields():
     disk = {"type": "euclidean_disk", "center": [0.0, 0.0], "radius": -1.0}
     with pytest.raises(ValueError, match="radius"):
@@ -442,3 +454,84 @@ def test_grid_context_logs_one_debug_line_per_run(tmp_path, monkeypatch, capsys)
         assert all(counts)
     assert reports[0] == reports[1]
     assert b"grid context" not in reports[1]
+
+
+EIGEN_RUNNERS = {  # experiment: (domains rasterized, top-level solves per p, in order)
+    "lambda1": (1, ("lambda1",)),
+    "lambda2": (1, ("lambda2",)),
+    "faber_krahn": (2, ("lambda1", "lambda1")),
+    "hks": (2, ("lambda2", "lambda1")),
+    "p_limit": (1, ("lambda1", "lambda2")),
+}
+
+
+@pytest.mark.parametrize("experiment", list(EIGEN_RUNNERS) + ["distance"])
+def test_each_runner_rasterizes_each_domain_once(monkeypatch, experiment):
+    from finsler_spectra import experiments
+
+    specs = []
+    rasterize = experiments.rasterize
+
+    def counted_rasterize(spec, h):
+        specs.append(json.dumps(spec.to_dict(), sort_keys=True))
+        return rasterize(spec, h)
+
+    monkeypatch.setattr(experiments, "rasterize", counted_rasterize)
+    run(base_cfg(experiment=experiment, h=1.0 / 8, p_list=[1.5, 2.0, 3.0]))
+    domains = EIGEN_RUNNERS.get(experiment, (1,))[0]
+    assert len(specs) == len(set(specs)) == domains
+
+
+@pytest.mark.parametrize("experiment", list(EIGEN_RUNNERS))
+def test_one_info_line_per_top_level_solve(tmp_path, monkeypatch, capsys, experiment):
+    from finsler_spectra import eigensolve
+
+    p_list = [1.5, 2.0, 3.0]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"experiment": experiment, "domain": square_domain(),
+                                    "norm": {"family": "euclidean"}, "h": 1.0 / 8,
+                                    "p_list": p_list}))
+    lambda1_calls = []
+    solve_lambda1 = eigensolve.solve_lambda1
+
+    def counted_solve_lambda1(*args, **kwargs):
+        lambda1_calls.append(args[2])
+        return solve_lambda1(*args, **kwargs)
+
+    monkeypatch.setattr(eigensolve, "solve_lambda1", counted_solve_lambda1)
+    line = re.compile(r"^INFO finsler_spectra: (lambda[12]) p=(\S+) dofs=\d+ took \d+\.\d\ds$")
+    labels = EIGEN_RUNNERS[experiment][1]
+    reports = []
+    for level in ("error", "info"):
+        monkeypatch.setenv("FS_LOG", level)
+        lambda1_calls.clear()
+        cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / level)])
+        solves = [m.groups() for m in map(line.match, capsys.readouterr().err.splitlines()) if m]
+        reports.append((tmp_path / level / "report.json").read_bytes())
+        assert solves == ([] if level == "error" else
+                          [(label, f"{p:g}") for p in p_list for label in labels])
+    # the part solves of a lambda_2 search call solve_lambda1 too, and log no INFO line
+    top_level = labels.count("lambda1") * len(p_list)
+    if "lambda2" in labels:
+        assert len(lambda1_calls) > top_level
+    else:
+        assert len(lambda1_calls) == top_level
+    assert reports[0] == reports[1]
+
+
+def test_a_repeated_p_is_solved_again_from_the_grid_context(caplog):
+    caplog.set_level(logging.DEBUG, logger="finsler_spectra")
+    pattern = re.compile(r"grid context: triangulations built=(\d+) reused=(\d+); "
+                         r"p2_factorizations built=(\d+) reused=(\d+)$")
+    results = {}
+    for p_list in ([2.0, 3.0], [2.0, 3.0, 3.0]):
+        caplog.clear()
+        rep = run(ExperimentConfig.from_dict(dict(hks_config(), p_list=p_list)))
+        (counts,) = [pattern.search(r.getMessage()).groups() for r in caplog.records
+                     if r.getMessage().startswith("grid context:")]
+        results[len(p_list)] = (json.loads(report_json(rep))["records"], [int(n) for n in counts])
+    (records2, counts2), (records3, counts3) = results[2], results[3]
+    assert records3[1] == records3[2] and records3[:2] == records2
+    # the repeat builds nothing: every triangulation and p=2 pair it needs is a context hit
+    assert counts3[0] == counts2[0] and counts3[2] == counts2[2]
+    assert counts3[1] > counts2[1] and counts3[3] > counts2[3]

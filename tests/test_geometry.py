@@ -154,3 +154,22 @@ def test_rectangle_rejects_inverted_corners():
 def test_rasterize_rejects_non_finite_h(h):
     with pytest.raises(ValueError, match="cell size h"):
         fs.rasterize(unit_square_spec(), h)
+
+
+def test_rasterize_rejects_a_frame_above_the_node_limit_before_allocating(monkeypatch):
+    from finsler_spectra import geometry
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("rasterize allocated a grid array")
+
+    with monkeypatch.context() as m:
+        m.setattr(np, "arange", no_allocation)
+        m.setattr(np, "zeros", no_allocation)
+        with pytest.raises(ValueError, match=r"h=1e-07 gives a \d+ x \d+ node grid"):
+            fs.rasterize(unit_square_spec(), 1e-7)
+    # the limit is inclusive: the unit-h frame of a square of side 2043 has 2048 x 2048 nodes
+    assert 2048 * 2048 == geometry.MAX_GRID_NODES
+    _, nx, ny = geometry._grid_frame(fs.shape(fs.rectangle(0.0, 0.0, 2043.0, 2043.0)), 1.0)
+    assert (nx, ny) == (2048, 2048)
+    with pytest.raises(ValueError, match="2048 x 2049 node grid"):
+        geometry._grid_frame(fs.shape(fs.rectangle(0.0, 0.0, 2043.0, 2044.0)), 1.0)
