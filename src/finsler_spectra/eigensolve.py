@@ -4,25 +4,26 @@ lambda_1 comes from minimizing the Rayleigh quotient
 
     R_p(u) = energy_p(u) / mass_p(u)
 
-over nonzero P1 fields with a projected Barzilai-Borwein descent
-(non-monotone line search, epsilon-regularized continuation, and an
-exponent ladder 2 -> 4 -> ... -> p so that large p is reached through
-warm starts).  lambda_2 comes from its bipartition characterization:
-the minimum over disjoint sub-domain pairs of max(lambda_1, lambda_1),
-searched over nodal splits, packing-based splits and a greedy interface
-descent.  A linear 5-point oracle provides exact p = 2 answers for the
-quadratic (q = 2) norms and all initial guesses.
+over nonzero P1 fields, one connected component at a time, by Newton's
+method on the mass sphere mass_p(u) = 1 (one sparse bordered KKT solve per
+step) along an exponent ladder 2 -> 4 -> ... -> p of warm starts.  lambda_2
+comes from its bipartition characterization: the minimum over disjoint
+sub-domain pairs of max(lambda_1, lambda_1), searched over nodal splits,
+packing-based splits and a greedy interface descent.  A linear 5-point
+oracle provides exact p = 2 answers for the quadratic (q = 2) norms and all
+initial guesses.
 """
 from __future__ import annotations
 
 import logging
 import math
 from contextvars import ContextVar
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy import ndimage
 
@@ -30,19 +31,16 @@ from . import distance as _distance
 from .fem import (ScalarField, Triangulation, _mass_gradient_values, energy_from_terms, energy_p,
                   energy_terms, gradient_from_terms, mass_p, triangulate)
 from .geometry import _FOUR, DomainGrid, _check_keys, components
-from .norms import NormSpec, euclidean, polar_eval
+from .norms import NormSpec, euclidean, polar_eval, power_hessian
 
 log = logging.getLogger(__name__)
 
 _SEED = 0
 
-# a solve whose scaled stationarity residual stays above this is reported failed;
-# well-converged large-p solves stall around 1e-2 on this scale, genuine
-# breakdowns sit orders of magnitude higher
-FAIL_RESIDUAL = 0.5
-_PLATEAU_WINDOW = 100
-_PLATEAU_RTOL = 1e-9
-_NONMONOTONE_WINDOW = 8
+# a Newton step whose predicted change of the quotient is below this fraction of
+# it is rounding noise: the stage stops there on "floor"
+_FLOOR = 1e-14
+_BACKTRACKS = 10
 _MAX_SWEEPS = 6
 
 
@@ -128,9 +126,10 @@ def _triangulation(grid: DomainGrid) -> Triangulation:
 
 @dataclass(frozen=True)
 class SolverOptions:
+    """max_iter caps the Newton steps of each stage; tol is the scaled residual to reach."""
+
     max_iter: int = 20000
     tol: float = 1e-8
-    epsilon_schedule: Tuple[float, ...] = (1e-2, 1e-4, 0.0)
 
     def __post_init__(self):
         if not self.max_iter >= 1:
@@ -140,21 +139,13 @@ class SolverOptions:
 
     @staticmethod
     def from_dict(d: dict) -> "SolverOptions":
-        _check_keys("solver", d, (), ("max_iter", "tol", "epsilon_schedule"))
+        _check_keys("solver", d, (), ("max_iter", "tol"))
         opts = SolverOptions()
-        return replace(
-            opts,
-            max_iter=int(d.get("max_iter", opts.max_iter)),
-            tol=float(d.get("tol", opts.tol)),
-            epsilon_schedule=tuple(d.get("epsilon_schedule", opts.epsilon_schedule)),
-        )
+        return SolverOptions(max_iter=int(d.get("max_iter", opts.max_iter)),
+                             tol=float(d.get("tol", opts.tol)))
 
     def to_dict(self) -> dict:
-        return {
-            "max_iter": self.max_iter,
-            "tol": self.tol,
-            "epsilon_schedule": list(self.epsilon_schedule),
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -234,6 +225,12 @@ def _normalize(tri: Triangulation, values: np.ndarray, p: float) -> np.ndarray:
     return values / _mass_root(tri, values, p)
 
 
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    # einsum sums in one thread whatever OPENBLAS_NUM_THREADS says; x @ y goes to a
+    # BLAS ddot whose long sums are split by thread, so its last bits follow the count
+    return float(np.einsum("i,i", x, y))
+
+
 def _ray_trial(tri, norm, p, eps, w, gw):
     """Quotient of w / c, c the p-th root of w's lumped mass, from the gradient
     components gw = G w: one mass pass and the norm kernel, no sparse product.
@@ -250,100 +247,136 @@ def _tangent_gradient(tri, p, v, r, terms):
     gm = _mass_gradient_values(tri, v, p)
     g = gradient_from_terms(tri, terms, p)
     g -= r * gm
-    g -= (float(g @ gm) / float(gm @ gm)) * gm
+    g -= (_dot(g, gm) / _dot(gm, gm)) * gm
     return g
 
 
-def _evaluate(tri, norm, p, eps, values):
+def _evaluate(tri, norm, p, values):
     """values scaled to unit mass, its gradient components, quotient and projected gradient."""
-    r, terms, gv, c = _ray_trial(tri, norm, p, eps, values, tri.gradient_components(values))
+    r, terms, gv, c = _ray_trial(tri, norm, p, 0.0, values, tri.gradient_components(values))
     v = values / c
     return v, gv, r, _tangent_gradient(tri, p, v, r, terms)
 
 
-def _descent_stage(tri, norm, p, eps, values, tol, max_iter,
-                   plateau=(_PLATEAU_WINDOW, _PLATEAU_RTOL)):
-    """Non-monotone BB descent of the Rayleigh quotient at fixed (p, eps).
+def _residual(v, g, r) -> float:
+    """Scaled stationarity residual |grad R|_2 |u|_2 / R."""
+    return math.sqrt(_dot(g, g) * _dot(v, v)) / r
 
-    The iterate is renormalized to mass_p = 1 after every step; the scaled
-    residual is |grad R|_2 * |u|_2 / R.  The stop reason distinguishes a
-    reached tolerance, a value plateau, the floating-point line-search floor
-    (no descent representable), and the iteration cap: only the last one can
-    signal genuine non-convergence.  A trial v - t g is evaluated along the
-    ray: its gradient components are Gv - t Gg, from the accepted trial's
-    components and one Gg per step, so a step makes one stacked sparse
-    product forward and two back however many trials it takes.
+
+class _NewtonMatrix:
+    """The bordered Newton matrix [[H_E - lam H_M + mu I, m], [m^T, 0]] of one triangulation.
+
+    H_E = area G^T K G, with K the per-triangle 2x2 blocks of norms.power_hessian.
+    The CSC data is one sparse product of a map, built here from the pattern of
+    G, with [K entries, diagonal shift, m]: no sparse-sparse product per step.
     """
-    v, gv, r, g = _evaluate(tri, norm, p, eps, values)
-    g_dot = float(g @ g)
-    v_norm = math.sqrt(v @ v)
-    res = math.sqrt(g_dot) * v_norm / r
-    t = v_norm / max(math.sqrt(g_dot), 1e-300)
-    history = [r]
-    win, rtol = plateau
-    it = 0
-    trials = 0
-    reason = "tol" if res <= tol else "maxiter"
-    while it < max_iter:
-        if res <= tol:
-            reason = "tol"
+
+    def __init__(self, tri: Triangulation):
+        n, nt = tri.ndof, tri.ntri
+        G = tri.G.tocoo()
+        order = np.argsort(G.row % nt, kind="stable")
+        t = G.row[order] % nt
+        slot = np.arange(t.size) - np.searchsorted(t, t)
+        # each triangle's (at most four) nonzeros of G: node, row block (0 = x, 1 = y), value
+        node, block, value = (np.zeros((nt, 4), dtype=dt) for dt in (np.int64, np.int64, float))
+        node[t, slot], block[t, slot], value[t, slot] = G.col[order], G.row[order] // nt, G.data[order]
+        j, ones, last = np.arange(n), np.ones(n), np.full(n, n)
+        # (row, column, entry of [K xx, K xy, K yy, diagonal shift, m], value) of every term
+        terms = [(node[:, a], node[:, b], (block[:, a] + block[:, b]) * nt + np.arange(nt),
+                  tri.area * value[:, a] * value[:, b]) for a in range(4) for b in range(4)]
+        terms += [(j, j, 3 * nt + j, ones), (j, last, 3 * nt + n + j, ones),
+                  (last, j, 3 * nt + n + j, ones)]
+        rows, cols, coef, vals = (np.concatenate(x) for x in zip(*terms))
+        keep = vals != 0.0
+        keys, pos = np.unique(cols[keep] * (n + 1) + rows[keep], return_inverse=True)
+        self.map = sp.csr_matrix((vals[keep], (pos, coef[keep])), shape=(keys.size, 3 * nt + 2 * n))
+        self.indices = keys % (n + 1)
+        self.indptr = np.searchsorted(keys // (n + 1), np.arange(n + 2))
+        self.eye = self.map @ np.concatenate([np.zeros(3 * nt), ones, np.zeros(n)])
+        self.tri = tri
+
+    def data(self, norm, p, gv, v, lam):
+        """Matrix data at mu = 0 for the unit-mass field v with gradient components gv."""
+        a = np.abs(v)
+        a = np.maximum(a, 1e-5 * a.max())  # the p < 2 mass Hessian is infinite where v = 0
+        hm = lam * p * (p - 1.0) * self.tri.h ** 2 * a ** (p - 2.0)
+        m = _mass_gradient_values(self.tri, v, p)
+        return self.map @ np.concatenate([*power_hessian(norm, p, *gv), -hm, m])
+
+    def step(self, data, mu, g):
+        """The d of [[L + mu I, m], [m^T, 0]] [d; nu] = [-g; 0], or None where that
+        matrix is singular (as at a zero node of a warm start)."""
+        try:
+            lu = spla.splu(sp.csc_matrix((data + mu * self.eye, self.indices, self.indptr)))
+        except RuntimeError:  # SuperLU: "Factor is exactly singular"
+            return None
+        return lu.solve(np.append(-g, 0.0))[:-1]
+
+
+def _newton_stage(tri, kkt, norm, p, values, tol, max_iter):
+    """Newton's method for the quotient on the mass sphere at one exponent.
+
+    A step solves the system of _NewtonMatrix, scales v + a d to unit mass and
+    halves a until the quotient drops (Armijo).  A step that is no descent
+    direction or fails its line search is retried with mu grown tenfold (from 0
+    to 1e-12 of the largest matrix entry); an accepted one shrinks a nonzero mu
+    tenfold, down to that floor.  Stops on tol, on the quotient's rounding
+    floor, or after max_iter steps.
+    """
+    v, gv, r, g = _evaluate(tri, norm, p, values)
+    res = _residual(v, g, r)
+    steps = factorizations = 0
+    mu, data, reason = 0.0, None, "tol"
+    while res > tol:
+        if steps == max_iter:
+            reason = "maxiter"
             break
-        it += 1
-        r_ref = max(history[-_NONMONOTONE_WINDOW:])
+        if data is None:
+            data = kkt.data(norm, p, gv, v, r)
+            mu_min = 1e-12 * float(np.abs(data).max())
+        d = kkt.step(data, mu, g)
+        factorizations += 1
+        slope = 0.0 if d is None else _dot(g, d)
+        floor = d is not None and abs(slope) <= _FLOOR * r
+        # at the floor the quotient cannot resolve the Armijo decrease: the step is
+        # taken unless the quotient rises beyond rounding, and it is the stage's last
+        slack = _FLOOR * r if floor else 0.0
         accepted = False
-        gg = tri.gradient_components(g)
-        for _ in range(40):
-            trials += 1
-            w = v - t * g
-            try:
-                r_new, terms, comps, c = _ray_trial(tri, norm, p, eps, w, gv - t * gg)
-            except ValueError:
-                t *= 0.25
-                continue
-            if r_new <= r_ref - 1e-6 * t * g_dot:
-                accepted = True
-                break
-            t *= 0.25
-        if not accepted:
+        if slope < 0.0:
+            gd = tri.gradient_components(d)
+            for alpha in 0.5 ** np.arange(_BACKTRACKS):
+                w = v + alpha * d
+                try:
+                    r_new, terms, comps, c = _ray_trial(tri, norm, p, 0.0, w, gv + alpha * gd)
+                except ValueError:  # a zero or overflowing trial
+                    continue
+                accepted = r_new <= r + 1e-4 * alpha * slope + slack
+                if accepted:
+                    break
+        if accepted:
+            v, gv, r = w / c, comps, r_new
+            g = _tangent_gradient(tri, p, v, r, terms)
+            res = _residual(v, g, r)
+            steps += 1
+            data = None
+            mu = max(0.1 * mu, mu_min) if mu else 0.0
+        elif not floor:
+            mu = max(10.0 * mu, mu_min)
+            continue
+        if floor and res > tol:
             reason = "floor"
             break
-        trial = w / c
-        g_new = _tangent_gradient(tri, p, trial, r_new, terms)
-        s = trial - v
-        y = g_new - g
-        sy = float(s @ y)
-        if sy > 0.0:
-            t = float(s @ s) / sy if it % 2 == 0 else sy / float(y @ y)
-        else:
-            t *= 2.0
-        t = min(max(t, 1e-16), 1e12)
-        v, gv, r, g = trial, comps, r_new, g_new
-        g_dot = float(g @ g)
-        history.append(r)
-        if len(history) > win and history[-win - 1] - r <= rtol * r:
-            reason = "plateau"
-            break
-        res = math.sqrt(g_dot) * math.sqrt(v @ v) / r
-    res = math.sqrt(g_dot) * math.sqrt(v @ v) / r
-    if res <= tol:
-        reason = "tol"
-    log.debug("descent stage p=%g eps=%g dofs=%d iterations=%d trials=%d stop=%s residual=%.3e",
-              p, eps, tri.ndof, it, trials, reason, res)
-    return v, r, it, res, reason
+    log.debug("newton stage p=%g dofs=%d steps=%d factorizations=%d mu=%.1e stop=%s residual=%.3e",
+              p, tri.ndof, steps, factorizations, mu, reason, res)
+    return v, r, steps, res, reason
 
 
 def _exponent_ladder(p: float) -> List[float]:
-    if p == 2.0:
-        return [2.0]
-    if p < 2.0:
-        return [2.0, p]
-    ladder = []
-    q = 2.0
-    while q < p * 0.999:
-        ladder.append(q)
-        q *= 2.0
-    ladder.append(p)
-    return ladder
+    """2, 4, 8, ... up to just below p, then p."""
+    ladder = [2.0]
+    while 2.0 * ladder[-1] < p * 0.999:
+        ladder.append(2.0 * ladder[-1])
+    return ladder if p == 2.0 else ladder + [p]
 
 
 def _p2_stand_in(norm: NormSpec) -> NormSpec:
@@ -357,53 +390,50 @@ def solve_lambda1(
     p: float,
     opts: SolverOptions = SolverOptions(),
     initial: Optional[ScalarField] = None,
-    plateau: Tuple[int, float] = (_PLATEAU_WINDOW, _PLATEAU_RTOL),
+    plateau: None = None,
 ) -> EigenResult:
     """Minimize the Rayleigh quotient; returns the nonnegative eigenfunction.
 
-    Initialization is the p=2 linear eigenfunction; the target exponent is
-    reached through the doubling ladder with the epsilon schedule applied at
-    the final exponent, and the reported eigenvalue is the eps=0 quotient.
+    lambda_1 is the smallest value over the connected components, each solved
+    on its own (at p < 2 the mass Hessian is infinite where u vanishes); u is
+    zero off the winning one.  A component climbs the doubling ladder from its
+    p=2 linear eigenfunction, one Newton stage per rung, or takes one stage at
+    p from ``initial`` (shaped for p) where that is nonzero.  A stage that
+    reaches ``opts.max_iter`` steps raises ConvergenceError.  ``plateau`` is
+    no longer a setting and must stay None.
     """
     if not 1.0 < p < np.inf:
         raise ValueError("p must lie in (1, inf)")
+    if plateau is not None:
+        raise ValueError(f"solve_lambda1: plateau is no longer a setting, got plateau={plateau!r}")
     tri = _triangulation(grid)
-    total = 0
-    res = np.inf
-    reason = "tol"
-    coarse_tol = max(opts.tol, 1e-6)
-    if initial is not None:
-        # caller supplied a field already shaped for this exponent: skip the
-        # ladder and the smoothing stages, polish at eps = 0 directly
-        v = initial.values.copy()
-        schedule = (0.0,)
-    else:
-        v = _linear_p2(grid, _p2_stand_in(norm), 1).u.values
-        for q in _exponent_ladder(p)[:-1]:
-            v, _, it, _, _ = _descent_stage(tri, norm, q, 0.0, v, coarse_tol,
-                                            min(2000, opts.max_iter), plateau)
-            total += it
-        schedule = opts.epsilon_schedule
-    for eps in schedule:
-        tol = opts.tol if eps == 0.0 else max(opts.tol, 1e-7)
-        cap = opts.max_iter if eps == 0.0 else min(4000, opts.max_iter)
-        v, _, it, res, reason = _descent_stage(tri, norm, p, eps, v, tol, cap, plateau)
-        total += it
+    warm = None if initial is None else initial.as_grid_array()
+    best, total = None, 0
+    for part in components(grid) if grid.num_components > 1 else [grid]:
+        sub = tri if part is grid else _triangulation(part)
+        kkt = _NewtonMatrix(sub)
+        v = None if warm is None else warm[part.mask]
+        if v is not None and np.abs(v).max(initial=0.0) > 0.0:
+            ladder = [p]
+        else:
+            v, ladder = _linear_p2(part, _p2_stand_in(norm), 1).u.values, _exponent_ladder(p)
+        for q in ladder:
+            v, lam, steps, res, reason = _newton_stage(sub, kkt, norm, q, v, opts.tol, opts.max_iter)
+            total += steps
+            if reason == "maxiter":
+                raise ConvergenceError(f"lambda_1 solve did not converge: p={q}, dofs={sub.ndof}, "
+                                       f"residual={res:.2e} after {total} iterations")
+        if best is None or lam < best[0]:
+            best = (lam, part.mask, v)
+    arr = np.zeros(grid.mask.shape)
+    arr[best[1]] = best[2]
     # first eigenfunctions have constant sign: the nodewise absolute value
     # never increases the energy for these norms and pins the sign convention
-    v, _, lam, g = _evaluate(tri, norm, p, 0.0, np.abs(v))
+    v, _, lam, g = _evaluate(tri, norm, p, np.abs(arr[grid.mask]))
     u = ScalarField(tri, v)
-    res = math.sqrt(g @ g) * math.sqrt(v @ v) / lam
-    # at large p the scaled residual has a floating-point floor that grows
-    # with the quotient's curvature; a stage that still had descent headroom
-    # when the iteration cap hit is the genuine failure signal
-    if reason == "maxiter" and res > FAIL_RESIDUAL:
-        raise ConvergenceError(
-            f"lambda_1 solve stalled: p={p}, dofs={tri.ndof}, "
-            f"residual={res:.2e} after {total} iterations"
-        )
     count, _ = nodal_domains(u)
-    return EigenResult(lam=float(lam), u=u, p=p, iterations=total, residual=res, nodal_count=count)
+    return EigenResult(lam=float(lam), u=u, p=p, iterations=total, residual=_residual(v, g, lam),
+                       nodal_count=count)
 
 
 class _LinearPairs:
@@ -492,12 +522,6 @@ def _linear_p2(grid: DomainGrid, norm: NormSpec, k: int) -> EigenResult:
     return pairs.result(k)
 
 
-def _part_opts(opts: SolverOptions) -> SolverOptions:
-    # sub-solves feed max() comparisons at percent-level tolerances, so a
-    # looser stationarity target buys a lot of time at large p
-    return replace(opts, tol=max(opts.tol, 1e-5), max_iter=min(opts.max_iter, 8000))
-
-
 class _PartSolver:
     """Caches lambda_1 sub-solves on part masks during a bipartition search."""
 
@@ -505,7 +529,7 @@ class _PartSolver:
         self.grid = grid
         self.norm = norm
         self.p = p
-        self.opts = _part_opts(opts)
+        self.opts = opts
         self.cache = {}
 
     def solve(self, mask: np.ndarray, warm: Optional[np.ndarray] = None) -> EigenResult:
@@ -513,17 +537,8 @@ class _PartSolver:
         key = mask.tobytes()
         if key not in self.cache:
             sub = self.grid.subgrid(mask)
-            initial = None
-            if warm is not None:
-                vals = warm[sub.mask]
-                if np.abs(vals).max(initial=0.0) > 0.0:
-                    initial = ScalarField(_triangulation(sub), vals)
-            # warm incremental re-solves start next to a minimizer, so a loose
-            # plateau is safe there; initial candidate solves keep the tight
-            # one (BB stall phases would otherwise truncate the big descent)
-            plateau = (50, 1e-7) if initial is not None else (_PLATEAU_WINDOW, _PLATEAU_RTOL)
-            self.cache[key] = solve_lambda1(
-                sub, self.norm, self.p, self.opts, initial=initial, plateau=plateau)
+            initial = None if warm is None else ScalarField(_triangulation(sub), warm[sub.mask])
+            self.cache[key] = solve_lambda1(sub, self.norm, self.p, self.opts, initial=initial)
         return self.cache[key]
 
 
@@ -640,8 +655,7 @@ def solve_lambda2(
     if len(comps) == 1:
         best = _lambda2_connected(grid, norm, p, opts)
     else:
-        popts = _part_opts(opts)
-        firsts = [solve_lambda1(c, norm, p, popts) for c in comps]
+        firsts = [solve_lambda1(c, norm, p, opts) for c in comps]
         best = None
         for i in range(len(comps)):
             for j in range(i + 1, len(comps)):

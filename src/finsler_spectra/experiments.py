@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import logging
+import math
 import os
 import time
 from dataclasses import asdict, dataclass, field
@@ -58,7 +59,15 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if not 0.0 < self.h < np.inf:
             raise ValueError(f"h must be finite and positive, got {self.h}")
-        _grid_frame(self.domain, self.h)  # rejects a frame above MAX_GRID_NODES
+        _, nx, ny = _grid_frame(self.domain, self.h)  # rejects a frame above MAX_GRID_NODES
+        # the reference shape a runner rasterizes at the same h: the unit Wulff shape, or
+        # for hks one of half the domain's measure, bounded here by the frame's area
+        if self.experiment == "faber_krahn":
+            _grid_frame(unit_wulff_spec(self.norm), self.h)
+        elif self.experiment == "hks":
+            area = nx * ny * self.h ** 2
+            _grid_frame(unit_wulff_spec(self.norm, math.sqrt(0.5 * area / wulff_measure(self.norm))),
+                        self.h)
         if self.experiment in ("lambda1", "lambda2", "faber_krahn", "hks", "p_limit") and not self.p_list:
             raise ValueError("p_list must be nonempty for eigenvalue experiments")
 

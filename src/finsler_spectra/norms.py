@@ -176,6 +176,28 @@ def squared_with_halfgrad(norm: NormSpec, gx: np.ndarray, gy: np.ndarray):
     return f2, hx, hy
 
 
+def power_hessian(norm: NormSpec, p: float, gx: np.ndarray, gy: np.ndarray):
+    """Elementwise 2x2 Hessian (xx, xy, yy) of F^p, with F^2 floored at 1e-10 of its maximum.
+
+    It is p F^(p-4) ((p-2) h h^T + F^2 Dh) with h = F dF, and for the whole family
+    F^2 Dh = (q-1) F^2 diag(w_i (|x_i|/F)^(q-2)) + (2-q) h h^T; at q < 2 the ratio
+    |x_i|/F is floored too.  The floors keep the weights finite where F or a
+    component vanishes.
+    """
+    f2, hx, hy = squared_with_halfgrad(norm, gx, gy)
+    s2 = f2.max(initial=0.0)
+    if s2 == 0.0:
+        return f2, f2, f2
+    f2 = np.maximum(f2, 1e-10 * s2)
+    q = norm.q
+    dx, dy = ((q - 1.0) * w * f2 * np.maximum(c * c / f2, 1e-10 if q < 2.0 else 0.0) ** (0.5 * q - 1.0)
+              for w, c in ((norm.w1, gx), (norm.w2, gy)))
+    # p F^(p-4), scaled by s2 against overflow as in fem.gradient_from_terms
+    scale = p * (f2 / s2) ** (0.5 * p - 2.0) * s2 ** (0.5 * p - 2.0)
+    return (scale * ((p - q) * hx * hx + dx), scale * ((p - q) * hx * hy),
+            scale * ((p - q) * hy * hy + dy))
+
+
 def wulff_measure(norm: NormSpec) -> float:
     """Area of the Wulff shape {F_polar < 1}.
 

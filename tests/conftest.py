@@ -209,7 +209,9 @@ def reference_gradient_from_terms(tri, terms, p):
 def reference_tangent_gradient(tri, p, v, r, terms):
     gm = reference_mass_gradient(tri, v, p)
     g = reference_gradient_from_terms(tri, terms, p) - r * gm
-    g -= (float(g @ gm) / float(gm @ gm)) * gm
+    # the solver's dot products go through np.einsum, whose sums do not depend on the
+    # BLAS thread count; x @ y would round differently
+    g -= (float(np.einsum("i,i", g, gm)) / float(np.einsum("i,i", gm, gm))) * gm
     return g
 
 

@@ -247,6 +247,81 @@ def test_eigenresult_serialization(square_grid):
     assert d["lambda"] == r.lam
 
 
+def test_lambda1_rejects_plateau(square_grid):
+    with pytest.raises(ValueError, match="plateau"):
+        fs.solve_lambda1(square_grid, fs.euclidean(), 3.0, plateau=(100, 1e-9))
+
+
+@pytest.mark.parametrize("family", sorted(ALL_NORMS))
+def test_lambda1_p32_from_four_starts_on_the_nodal_half(monkeypatch, family):
+    # the half of the unit square that the nodal split gives, from the p=2 start and
+    # from three copies of it with 1e-12 relative noise: every ladder converges
+    from finsler_spectra import eigensolve
+
+    norm = ALL_NORMS[family]
+    square = fs.rasterize(unit_square_spec(), 1.0 / 32)
+    (half, _), _ = eigensolve._split_candidates(square, norm)
+    grid = square.subgrid(half)
+    oracle = eigensolve._linear_p2
+    lams = []
+    for seed in (None, 101, 102, 103):
+        def noisy(g, n, k, seed=seed):
+            r = oracle(g, n, k)
+            if seed is None:
+                return r
+            noise = 1e-12 * np.random.default_rng(seed).standard_normal(r.u.values.size)
+            return eigensolve.EigenResult(r.lam, ScalarField(r.u.tri, r.u.values * (1.0 + noise)),
+                                          r.p, r.iterations, r.residual, r.nodal_count)
+
+        monkeypatch.setattr(eigensolve, "_linear_p2", noisy)
+        r = fs.solve_lambda1(grid, norm, 32.0)
+        assert r.residual <= 1e-7
+        lams.append(r.lam)
+    assert np.ptp(lams) <= 1e-6 * min(lams)
+
+
+def test_lambda1_p15_on_two_disks_is_the_smaller_component_value(caplog):
+    grid = fs.rasterize(two_disk_spec(1.0, 0.75, 3.0), 1.0 / 32)
+    norm = fs.lq_norm(3.0)
+    with caplog.at_level(logging.DEBUG, logger="finsler_spectra.eigensolve"):
+        r = fs.solve_lambda1(grid, norm, 1.5)
+    stops = [rec.getMessage().split(" stop=")[1].split()[0] for rec in caplog.records
+             if rec.getMessage().startswith("newton stage")]
+    assert len(stops) == 4 and set(stops) <= {"tol", "floor"}   # two rungs per disk
+    big, small = fs.components(grid)
+    parts = [fs.solve_lambda1(c, norm, 1.5).lam for c in (big, small)]
+    assert parts[0] < parts[1]
+    assert r.lam == pytest.approx(parts[0], rel=1e-12)
+    assert r.residual <= 1e-8
+    arr = r.u.as_grid_array()
+    assert not arr[small.mask].any() and (arr[big.mask] > 0.0).all()
+    assert r.lam == pytest.approx(fs.rayleigh_quotient(r.u, norm, 1.5), rel=1e-12)
+
+
+_THREAD_PROBE = """
+import finsler_spectra as fs
+grid = fs.rasterize(fs.shape(fs.rectangle(0, 0, 1, 1)), 1 / 104)
+r = fs.solve_lambda1(grid, fs.weighted_quadratic(4, 1), 1.5)
+print(grid.interior_count, r.lam.hex(), r.iterations, r.residual.hex())
+"""
+
+
+def test_lambda1_bytes_do_not_depend_on_the_blas_thread_count():
+    # numpy's x @ y splits long sums by BLAS thread; the solver's dots do not
+    import os
+    import subprocess
+    import sys
+
+    outs = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env, check=True,
+                              capture_output=True, text=True)
+        outs.add(done.stdout)
+    (out,) = outs
+    assert int(out.split()[0]) > 10000
+
+
 def test_lambda2_drops_nodal_candidate_when_oracle_fails(monkeypatch, caplog):
     from finsler_spectra import eigensolve
 
@@ -303,9 +378,10 @@ def test_descent_shrinks_zero_and_overflowing_trials(monkeypatch):
 
     grid = fs.rasterize(lshape_spec(), 1.0 / 16)
     tri = fs.triangulate(grid)
+    kkt = eigensolve._NewtonMatrix(tri)
     norm = fs.lq_norm(3.0)
     start = fs.solve_linear_p2(grid, fs.euclidean(), 1).u.values
-    clean = eigensolve._descent_stage(tri, norm, 3.0, 0.0, start, 1e-8, 2000)
+    clean = eigensolve._newton_stage(tri, kkt, norm, 3.0, start, 1e-8, 100)
     real = eigensolve._ray_trial
     v0 = eigensolve._normalize(tri, start, 3.0)
     steps = []
@@ -313,7 +389,7 @@ def test_descent_shrinks_zero_and_overflowing_trials(monkeypatch):
     def forced(tri, norm, p, eps, w, gw):
         if w is start:
             return real(tri, norm, p, eps, w, gw)     # the stage's starting point
-        steps.append(float(np.linalg.norm(w - v0)))   # t * |g| on the first step
+        steps.append(float(np.linalg.norm(w - v0)))   # alpha * |d| on the first step
         with np.errstate(over="ignore", invalid="ignore"):
             if len(steps) == 1:
                 w = np.zeros_like(w)                     # exactly zero trial
@@ -327,8 +403,8 @@ def test_descent_shrinks_zero_and_overflowing_trials(monkeypatch):
         real(tri, norm, 3.0, 0.0, np.zeros(tri.ndof), tri.gradient_components(start))
     monkeypatch.setattr(eigensolve, "_ray_trial", forced)
     with np.errstate(invalid="ignore"):
-        v, r, it, res, reason = eigensolve._descent_stage(tri, norm, 3.0, 0.0, start, 1e-8, 2000)
-    assert steps[1:4] == pytest.approx([steps[0] * 0.25 ** k for k in (1, 2, 3)], rel=1e-12)
+        v, r, it, res, reason = eigensolve._newton_stage(tri, kkt, norm, 3.0, start, 1e-8, 100)
+    assert steps[1:4] == pytest.approx([steps[0] * 0.5 ** k for k in (1, 2, 3)], rel=1e-12)
     assert reason == "tol" and res <= 1e-8
     assert r == pytest.approx(clean[1], rel=1e-12)
 
@@ -356,15 +432,14 @@ def test_descent_stages_log_one_debug_line_each(caplog):
     grid = fs.rasterize(lshape_spec(), 1.0 / 16)
     with caplog.at_level(logging.DEBUG, logger="finsler_spectra.eigensolve"):
         r = fs.solve_lambda1(grid, fs.lq_norm(3.0), 3.0)
-    pattern = re.compile(r"descent stage p=(\S+) eps=(\S+) dofs=(\d+) iterations=(\d+) "
-                         r"trials=(\d+) stop=(tol|plateau|floor|maxiter) residual=(\S+)$")
+    pattern = re.compile(r"newton stage p=(\S+) dofs=(\d+) steps=(\d+) factorizations=(\d+) "
+                         r"mu=(\S+) stop=(tol|floor|maxiter) residual=(\S+)$")
     stages = [pattern.match(rec.getMessage()) for rec in caplog.records]
-    assert all(stages) and len(stages) == 4   # the p=2 rung, then eps 1e-2, 1e-4, 0
-    assert [(float(m[1]), float(m[2])) for m in stages] == [
-        (2.0, 0.0), (3.0, 1e-2), (3.0, 1e-4), (3.0, 0.0)]
-    assert all(int(m[3]) == grid.interior_count for m in stages)
-    assert sum(int(m[4]) for m in stages) == r.iterations
-    assert all(int(m[5]) >= int(m[4]) for m in stages)
+    assert all(stages) and len(stages) == 2   # one Newton stage per rung: p=2, then p=3
+    assert [float(m[1]) for m in stages] == [2.0, 3.0]
+    assert all(int(m[2]) == grid.interior_count for m in stages)
+    assert sum(int(m[3]) for m in stages) == r.iterations
+    assert all(int(m[4]) >= int(m[3]) and float(m[5]) >= 0.0 for m in stages)
     assert stages[-1][6] == "tol" and float(stages[-1][7]) <= 1e-8
 
 

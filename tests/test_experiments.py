@@ -81,6 +81,34 @@ def test_config_rejects_a_grid_above_the_node_limit_at_parse_time(monkeypatch):
     assert base_cfg(h=1.0 / 256).h == 1.0 / 256
 
 
+def test_config_rejects_a_reference_shape_above_the_node_limit_at_parse_time(monkeypatch):
+    from finsler_spectra import experiments
+
+    from conftest import ALL_NORMS, lshape_spec, rect21_spec, two_disk_spec, unit_square_spec
+
+    def no_rasterize(*args, **kwargs):
+        raise AssertionError("the config was rasterized while it was parsed")
+
+    monkeypatch.setattr(experiments, "rasterize", no_rasterize)
+    tiny = [dict(square_domain()[0], x1=0.01, y1=0.01)]
+    # faber_krahn rasterizes the unit Wulff shape at the domain's h
+    with pytest.raises(ValueError, match=r"h=0.0001 gives a 20005 x 20005 node grid"):
+        base_cfg(experiment="faber_krahn", domain=tiny, h=1e-4)
+    # hks rasterizes a Wulff shape of half the domain's measure: inside the tiny
+    # square's frame area for the Euclidean norm, but not for a strongly
+    # anisotropic one, whose shape's frame is a square around its long axis
+    assert base_cfg(experiment="hks", domain=tiny, h=1e-4).h == 1e-4
+    aniso = {"family": "weighted_quadratic", "a1": 100.0, "a2": 1.0}
+    assert base_cfg(experiment="lambda1", norm=aniso, h=1e-3).h == 1e-3
+    with pytest.raises(ValueError, match=r"h=0.001 gives a 2541 x 2541 node grid"):
+        base_cfg(experiment="hks", norm=aniso, h=1e-3)
+    # the acceptance matrix still parses
+    for spec in (unit_square_spec(), lshape_spec(), rect21_spec(), two_disk_spec(1.0, 0.75, 3.0)):
+        for norm in ALL_NORMS.values():
+            for experiment in ("faber_krahn", "hks"):
+                base_cfg(experiment=experiment, domain=spec.to_dict(), norm=norm.to_dict(), h=1.0 / 48)
+
+
 def test_config_rejects_bad_domain_fields():
     disk = {"type": "euclidean_disk", "center": [0.0, 0.0], "radius": -1.0}
     with pytest.raises(ValueError, match="radius"):
@@ -117,7 +145,7 @@ def test_debug_log_leaves_distance_report_unchanged(tmp_path, monkeypatch, capsy
                       "norm": {"family": "lq", "q": 3.0}, "h": 1.0 / 24}, "sup_rayleigh:"),
         "lambda1": ({"experiment": "lambda1", "domain": square_domain(),
                      "norm": {"family": "lq", "q": 3.0}, "h": 1.0 / 16, "p_list": [3.0]},
-                    "descent stage p=3 eps=0 "),
+                    "newton stage p=3 "),
     }
     for name, (cfg, debug_line) in configs.items():
         cfg_path = tmp_path / f"{name}.json"
@@ -149,9 +177,9 @@ def test_fs_log_applies_under_configured_root_logger(tmp_path, monkeypatch, caps
         for _ in range(2):
             assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
             stages = [line for line in capsys.readouterr().err.splitlines()
-                      if line.startswith("DEBUG finsler_spectra.eigensolve: descent stage")]
-            # the p=2 rung and three epsilon stages at p=3, each printed once
-            assert len(stages) == len(set(stages)) == 4
+                      if line.startswith("DEBUG finsler_spectra.eigensolve: newton stage")]
+            # the p=2 rung and the p=3 stage, each printed once
+            assert len(stages) == len(set(stages)) == 2
     finally:
         root.removeHandler(handler)
     assert not logging.getLogger("finsler_spectra").handlers
@@ -164,6 +192,7 @@ def test_fs_log_applies_under_configured_root_logger(tmp_path, monkeypatch, caps
     ({"tol": float("inf")}, "tol"),
     ({"tol": 0.0}, "tol"),
     ({"tol": -1e-8}, "tol"),
+    ({"epsilon_schedule": [1e-2, 0.0]}, "epsilon_schedule"),
 ])
 def test_config_rejects_bad_solver_options(solver, field):
     with pytest.raises(ValueError, match=field):

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import finsler_spectra as fs
-from finsler_spectra.norms import eval_norm_sq, linear_bounds, norm_from_dict, squared_with_halfgrad
+from finsler_spectra.norms import (eval_norm_sq, linear_bounds, norm_from_dict, power_hessian,
+                                  squared_with_halfgrad)
 
 from conftest import ALL_NORMS
 
@@ -250,3 +251,28 @@ def test_norm_spellings_round_trip(d):
 def test_bad_norm_input_is_rejected(make, field):
     with pytest.raises(ValueError, match=field):
         make()
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0, 32.0])
+@pytest.mark.parametrize("family", sorted(ALL_NORMS))
+def test_power_hessian_matches_finite_differences(family, p):
+    # central differences of grad F^p = p F^(p-2) (F dF), one component at a time,
+    # on gradients with exactly zero components
+    norm = ALL_NORMS[family]
+    rng = np.random.default_rng(int(p * 10))
+    x, y = rng.standard_normal(60), rng.standard_normal(60)
+    x[:10] = 0.0
+    y[10:20] = 0.0
+
+    def grad(gx, gy):
+        f2, hx, hy = squared_with_halfgrad(norm, gx, gy)
+        w = p * f2 ** (0.5 * p - 1.0)
+        return np.stack([w * hx, w * hy])
+
+    kxx, kxy, kyy = power_hessian(norm, p, x, y)
+    step = 1e-6 * np.hypot(x, y)
+    dx = (grad(x + step, y) - grad(x - step, y)) / (2.0 * step)
+    dy = (grad(x, y + step) - grad(x, y - step)) / (2.0 * step)
+    scale = np.abs(kxx) + np.abs(kyy)
+    for got, want in ((kxx, dx[0]), (kxy, dx[1]), (kxy, dy[0]), (kyy, dy[1])):
+        assert np.max(np.abs(got - want) / scale) <= 1e-5
