@@ -5,7 +5,7 @@ lambda_1 comes from minimizing the Rayleigh quotient
     R_p(u) = energy_p(u) / mass_p(u)
 
 over nonzero P1 fields, one connected component at a time, by Newton's
-method on the mass sphere mass_p(u) = 1 (one sparse bordered KKT solve per
+method on the mass sphere mass_p(u) = 1 (one banded bordered KKT solve per
 step) along an exponent ladder 2 -> 4 -> ... -> p of warm starts.  lambda_2
 comes from its bipartition characterization: the minimum over disjoint
 sub-domain pairs of max(lambda_1, lambda_1), searched over nodal splits,
@@ -26,6 +26,8 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy import ndimage
+from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from . import distance as _distance
 from .fem import (ScalarField, Triangulation, _mass_gradient_values, energy_from_terms, energy_p,
@@ -264,12 +266,11 @@ def _residual(v, g, r) -> float:
 
 
 class _NewtonMatrix:
-    """The bordered Newton matrix [[H_E - lam H_M + mu I, m], [m^T, 0]] of one triangulation.
-
-    H_E = area G^T K G, with K the per-triangle 2x2 blocks of norms.power_hessian.
-    The CSC data is one sparse product of a map, built here from the pattern of
-    G, with [K entries, diagonal shift, m]: no sparse-sparse product per step.
-    """
+    """L = H_E - lam H_M + mu I of one triangulation in LAPACK band storage, bordered by
+    the mass gradient m.  H_E = area G^T K G, with K the per-triangle 2x2 blocks of
+    norms.power_hessian.  The nodes are renumbered once in reverse Cuthill-McKee order
+    (half-bandwidth w); the entries of L are one sparse product of a map with
+    [K entries, -H_M diagonal]."""
 
     def __init__(self, tri: Triangulation):
         n, nt = tri.ndof, tri.ntri
@@ -280,37 +281,55 @@ class _NewtonMatrix:
         # each triangle's (at most four) nonzeros of G: node, row block (0 = x, 1 = y), value
         node, block, value = (np.zeros((nt, 4), dtype=dt) for dt in (np.int64, np.int64, float))
         node[t, slot], block[t, slot], value[t, slot] = G.col[order], G.row[order] // nt, G.data[order]
-        j, ones, last = np.arange(n), np.ones(n), np.full(n, n)
-        # (row, column, entry of [K xx, K xy, K yy, diagonal shift, m], value) of every term
+        j = np.arange(n)
+        # (row, column, entry of [K xx, K xy, K yy, -H_M diagonal], value) of every term
         terms = [(node[:, a], node[:, b], (block[:, a] + block[:, b]) * nt + np.arange(nt),
                   tri.area * value[:, a] * value[:, b]) for a in range(4) for b in range(4)]
-        terms += [(j, j, 3 * nt + j, ones), (j, last, 3 * nt + n + j, ones),
-                  (last, j, 3 * nt + n + j, ones)]
+        terms.append((j, j, 3 * nt + j, np.ones(n)))
         rows, cols, coef, vals = (np.concatenate(x) for x in zip(*terms))
         keep = vals != 0.0
-        keys, pos = np.unique(cols[keep] * (n + 1) + rows[keep], return_inverse=True)
-        self.map = sp.csr_matrix((vals[keep], (pos, coef[keep])), shape=(keys.size, 3 * nt + 2 * n))
-        self.indices = keys % (n + 1)
-        self.indptr = np.searchsorted(keys // (n + 1), np.arange(n + 2))
-        self.eye = self.map @ np.concatenate([np.zeros(3 * nt), ones, np.zeros(n)])
+        rows, cols, coef, vals = (x[keep] for x in (rows, cols, coef, vals))
+        self.perm = reverse_cuthill_mckee(sp.csr_matrix((vals, (rows, cols))), symmetric_mode=True)
+        self.rank = np.argsort(self.perm)
+        keys, pos = np.unique(self.rank[rows] * n + self.rank[cols], return_inverse=True)
+        self.map = sp.csr_matrix((vals, (pos, coef)), shape=(keys.size, 3 * nt + n))
+        self.rows, self.cols = keys // n, keys % n
+        self.w = w = int(np.abs(self.rows - self.cols).max(initial=0))
+        self.band = (2 * w + self.rows - self.cols, self.cols)  # where L's entries sit in the band
         self.tri = tri
+        log.debug("newton matrix dofs=%d band=%d", n, w)
 
     def data(self, norm, p, gv, v, lam):
-        """Matrix data at mu = 0 for the unit-mass field v with gradient components gv."""
+        """Entries of L at mu = 0 and m, renumbered, at the unit-mass v with gradients gv."""
         a = np.abs(v)
         a = np.maximum(a, 1e-5 * a.max())  # the p < 2 mass Hessian is infinite where v = 0
         hm = lam * p * (p - 1.0) * self.tri.h ** 2 * a ** (p - 2.0)
-        m = _mass_gradient_values(self.tri, v, p)
-        return self.map @ np.concatenate([*power_hessian(norm, p, *gv), -hm, m])
+        entries = self.map @ np.concatenate([*power_hessian(norm, p, *gv), -hm])
+        return entries, _mass_gradient_values(self.tri, v, p)[self.perm]
 
     def step(self, data, mu, g):
-        """The d of [[L + mu I, m], [m^T, 0]] [d; nu] = [-g; 0], or None where that
-        matrix is singular (as at a zero node of a warm start)."""
-        try:
-            lu = spla.splu(sp.csc_matrix((data + mu * self.eye, self.indices, self.indptr)))
-        except RuntimeError:  # SuperLU: "Factor is exactly singular"
+        """The d of [[L + mu I, m], [m^T, 0]] [d; nu] = [-g; 0], or None where L + mu I has a
+        zero pivot or m^T (L + mu I)^-1 m = 0: block elimination over one band LU, then one
+        step of iterative refinement, without which d loses its digits near an eigenfunction,
+        where L is nearly singular (Govaerts & Pryce, BIT 30, 1990)."""
+        (entries, m), w, n = data, self.w, data[1].size
+        ab = np.zeros((3 * w + 1, n), order="F")
+        ab[self.band] = entries
+        ab[2 * w] += mu
+        lu, piv, info = dgbtrf(ab, w, w, overwrite_ab=True)
+        if info > 0:
             return None
-        return lu.solve(np.append(-g, 0.0))[:-1]
+        f = -g[self.perm]
+        xg, xm = dgbtrs(lu, w, w, np.array([f, m]).T, piv)[0].T
+        mxm = _dot(m, xm)
+        if mxm == 0.0:
+            return None
+        nu = _dot(m, xg) / mxm
+        d = xg - nu * xm
+        r = f - np.bincount(self.rows, entries * d[self.cols], minlength=n) - mu * d - nu * m
+        y = dgbtrs(lu, w, w, r, piv)[0]
+        d += y - ((_dot(m, y) + _dot(m, d)) / mxm) * xm
+        return d[self.rank]
 
 
 def _newton_stage(tri, kkt, norm, p, values, tol, max_iter):
@@ -333,7 +352,7 @@ def _newton_stage(tri, kkt, norm, p, values, tol, max_iter):
             break
         if data is None:
             data = kkt.data(norm, p, gv, v, r)
-            mu_min = 1e-12 * float(np.abs(data).max())
+            mu_min = 1e-12 * max(float(np.abs(x).max()) for x in data)
         d = kkt.step(data, mu, g)
         factorizations += 1
         slope = 0.0 if d is None else _dot(g, d)

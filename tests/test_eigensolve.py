@@ -373,6 +373,61 @@ def test_ray_trial_matches_field_evaluation(family, p, eps):
         assert _relative_gap(got, want) <= 1e-12
 
 
+def _dense_newton_step(tri, norm, p, v, gv, lam, g):
+    """The d of the bordered Newton system at mu = 0, assembled densely from Gx and Gy."""
+    from finsler_spectra.fem import _mass_gradient_values
+    from finsler_spectra.norms import power_hessian
+
+    kxx, kxy, kyy = power_hessian(norm, p, *gv)
+    Gx, Gy = tri.Gx.toarray(), tri.Gy.toarray()
+    HE = tri.area * (Gx.T @ (kxx[:, None] * Gx) + Gx.T @ (kxy[:, None] * Gy)
+                     + Gy.T @ (kxy[:, None] * Gx) + Gy.T @ (kyy[:, None] * Gy))
+    a = np.maximum(np.abs(v), 1e-5 * np.abs(v).max())
+    m = _mass_gradient_values(tri, v, p)[:, None]
+    A = np.block([[HE - np.diag(lam * p * (p - 1.0) * tri.h ** 2 * a ** (p - 2.0)), m],
+                  [m.T, np.zeros((1, 1))]])
+    return np.linalg.solve(A, np.append(-g, 0.0))[:-1]
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0, 32.0])
+@pytest.mark.parametrize("family", sorted(ALL_NORMS))
+def test_newton_step_matches_dense_bordered_solve(family, p):
+    # at the converged field L v = 0 up to rounding: block elimination alone is off
+    # there by up to order one, and its refinement step brings it back
+    from finsler_spectra import eigensolve
+
+    norm = ALL_NORMS[family]
+    grid = fs.rasterize(unit_square_spec(), 1.0 / 16)
+    tri = fs.triangulate(grid)
+    kkt = eigensolve._NewtonMatrix(tri)
+    u = fs.solve_lambda1(grid, norm, p).u.values
+    fields = [(u * (1.0 + 0.05 * np.random.default_rng(0).standard_normal(tri.ndof)), 1e-9)]
+    if p < 32.0:
+        fields.append((u, 1e-10))
+    for values, rtol in fields:
+        v, gv, r, g = eigensolve._evaluate(tri, norm, p, values)
+        d = kkt.step(kkt.data(norm, p, gv, v, r), 0.0, g)
+        assert _relative_gap(d, _dense_newton_step(tri, norm, p, v, gv, r, g)) <= rtol
+
+
+def test_newton_step_is_none_on_a_zero_pivot():
+    from finsler_spectra import eigensolve
+    from finsler_spectra.fem import _mass_gradient_values
+
+    grid = fs.rasterize(unit_square_spec(), 1.0 / 16)
+    tri = fs.triangulate(grid)
+    kkt = eigensolve._NewtonMatrix(tri)
+    norm = fs.euclidean()
+    v, gv, r, g = eigensolve._evaluate(tri, norm, 3.0, fs.solve_linear_p2(grid, norm, 1).u.values)
+    entries, m = kkt.data(norm, 3.0, gv, v, r)
+    zero = (0.0 * entries, m)   # L = 0: dgbtrf reports a zero pivot at mu = 0
+    assert kkt.step(zero, 0.0, g) is None
+    # [[mu I, m], [m^T, 0]] [d; nu] = [-g; 0] has d = -(g projected off m) / mu
+    m = _mass_gradient_values(tri, v, 3.0)
+    want = -(g - (m @ g / (m @ m)) * m) / 2.0
+    assert _relative_gap(kkt.step(zero, 2.0, g), want) <= 1e-12
+
+
 def test_descent_shrinks_zero_and_overflowing_trials(monkeypatch):
     from finsler_spectra import eigensolve
 
@@ -434,7 +489,11 @@ def test_descent_stages_log_one_debug_line_each(caplog):
         r = fs.solve_lambda1(grid, fs.lq_norm(3.0), 3.0)
     pattern = re.compile(r"newton stage p=(\S+) dofs=(\d+) steps=(\d+) factorizations=(\d+) "
                          r"mu=(\S+) stop=(tol|floor|maxiter) residual=(\S+)$")
-    stages = [pattern.match(rec.getMessage()) for rec in caplog.records]
+    built = re.compile(rf"newton matrix dofs={grid.interior_count} band=(\d+)$")
+    messages = [rec.getMessage() for rec in caplog.records]
+    # the one connected component's Newton matrix is built once, before its stages
+    assert built.match(messages[0]) and 0 < int(built.match(messages[0])[1]) < grid.interior_count
+    stages = [pattern.match(message) for message in messages[1:]]
     assert all(stages) and len(stages) == 2   # one Newton stage per rung: p=2, then p=3
     assert [float(m[1]) for m in stages] == [2.0, 3.0]
     assert all(int(m[2]) == grid.interior_count for m in stages)
