@@ -186,11 +186,11 @@ class BipartitionResult:
 
 
 def rayleigh_quotient(u: ScalarField, norm: NormSpec, p: float) -> float:
-    """energy_p(u, p, eps=0) / mass_p(u, p); 0-homogeneous in u."""
+    """energy_p(u, p) / mass_p(u, p); 0-homogeneous in u."""
     m = mass_p(u, p)
     if m == 0.0:
         raise ValueError("rayleigh_quotient: zero field")
-    return energy_p(u, norm, p, 0.0) / m
+    return energy_p(u, norm, p) / m
 
 
 def nodal_domains(u: ScalarField, threshold: float = 1e-6) -> Tuple[int, np.ndarray]:
@@ -233,15 +233,14 @@ def _dot(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.einsum("i,i", x, y))
 
 
-def _ray_trial(tri, norm, p, eps, w, gw):
-    """Quotient of w / c, c the p-th root of w's lumped mass, from the gradient
-    components gw = G w: one mass pass and the norm kernel, no sparse product.
-    Returns (quotient, energy terms, G(w / c), c); the mass of w / c is 1.
-    A zero or non-finite w raises ValueError."""
+def _evaluate(tri, norm, p, w):
+    """w / c, c the p-th root of w's lumped mass, with its gradient components
+    G w / c, quotient and energy terms: one mass pass, one sparse product and
+    the norm kernel.  A zero or non-finite w raises ValueError."""
     c = _mass_root(tri, w, p)
-    comps = np.asarray(gw) / c
-    terms = energy_terms(comps, norm, eps)
-    return energy_from_terms(tri, terms, p), terms, comps, c
+    comps = tri.gradient_components(w) / c
+    terms = energy_terms(comps, norm)
+    return w / c, comps, energy_from_terms(tri, terms, p), terms
 
 
 def _tangent_gradient(tri, p, v, r, terms):
@@ -251,13 +250,6 @@ def _tangent_gradient(tri, p, v, r, terms):
     g -= r * gm
     g -= (_dot(g, gm) / _dot(gm, gm)) * gm
     return g
-
-
-def _evaluate(tri, norm, p, values):
-    """values scaled to unit mass, its gradient components, quotient and projected gradient."""
-    r, terms, gv, c = _ray_trial(tri, norm, p, 0.0, values, tri.gradient_components(values))
-    v = values / c
-    return v, gv, r, _tangent_gradient(tri, p, v, r, terms)
 
 
 def _residual(v, g, r) -> float:
@@ -342,9 +334,10 @@ def _newton_stage(tri, kkt, norm, p, values, tol, max_iter):
     tenfold, down to that floor.  Stops on tol, on the quotient's rounding
     floor, or after max_iter steps.
     """
-    v, gv, r, g = _evaluate(tri, norm, p, values)
+    v, gv, r, terms = _evaluate(tri, norm, p, values)
+    g = _tangent_gradient(tri, p, v, r, terms)
     res = _residual(v, g, r)
-    steps = factorizations = 0
+    steps = factorizations = trials = 0
     mu, data, reason = 0.0, None, "tol"
     while res > tol:
         if steps == max_iter:
@@ -362,18 +355,17 @@ def _newton_stage(tri, kkt, norm, p, values, tol, max_iter):
         slack = _FLOOR * r if floor else 0.0
         accepted = False
         if slope < 0.0:
-            gd = tri.gradient_components(d)
             for alpha in 0.5 ** np.arange(_BACKTRACKS):
-                w = v + alpha * d
+                trials += 1
                 try:
-                    r_new, terms, comps, c = _ray_trial(tri, norm, p, 0.0, w, gv + alpha * gd)
+                    trial = _evaluate(tri, norm, p, v + alpha * d)
                 except ValueError:  # a zero or overflowing trial
                     continue
-                accepted = r_new <= r + 1e-4 * alpha * slope + slack
+                accepted = trial[2] <= r + 1e-4 * alpha * slope + slack
                 if accepted:
                     break
         if accepted:
-            v, gv, r = w / c, comps, r_new
+            v, gv, r, terms = trial
             g = _tangent_gradient(tri, p, v, r, terms)
             res = _residual(v, g, r)
             steps += 1
@@ -385,8 +377,8 @@ def _newton_stage(tri, kkt, norm, p, values, tol, max_iter):
         if floor and res > tol:
             reason = "floor"
             break
-    log.debug("newton stage p=%g dofs=%d steps=%d factorizations=%d mu=%.1e stop=%s residual=%.3e",
-              p, tri.ndof, steps, factorizations, mu, reason, res)
+    log.debug("newton stage p=%g dofs=%d steps=%d factorizations=%d trials=%d mu=%.1e stop=%s "
+              "residual=%.3e", p, tri.ndof, steps, factorizations, trials, mu, reason, res)
     return v, r, steps, res, reason
 
 
@@ -448,11 +440,11 @@ def solve_lambda1(
     arr[best[1]] = best[2]
     # first eigenfunctions have constant sign: the nodewise absolute value
     # never increases the energy for these norms and pins the sign convention
-    v, _, lam, g = _evaluate(tri, norm, p, np.abs(arr[grid.mask]))
+    v, _, lam, terms = _evaluate(tri, norm, p, np.abs(arr[grid.mask]))
     u = ScalarField(tri, v)
     count, _ = nodal_domains(u)
-    return EigenResult(lam=float(lam), u=u, p=p, iterations=total, residual=_residual(v, g, lam),
-                       nodal_count=count)
+    return EigenResult(lam=float(lam), u=u, p=p, iterations=total, nodal_count=count,
+                       residual=_residual(v, _tangent_gradient(tri, p, v, lam, terms), lam))
 
 
 class _LinearPairs:
@@ -567,7 +559,8 @@ def _greedy_refine(solver: _PartSolver, p1: np.ndarray, p2: np.ndarray):
     r2 = solver.solve(p2)
     val = max(r1.lam, r2.lam)
     for _ in range(_MAX_SWEEPS):
-        if r1.lam >= r2.lam:
+        # values within 1e-12 are a tie (mirror-image parts), which grows the first part
+        if r1.lam >= r2.lam * (1.0 - 1e-12):
             hi, lo, hi_is_first = p1, p2, True
         else:
             hi, lo, hi_is_first = p2, p1, False

@@ -142,59 +142,53 @@ def triangle_gradients(u: ScalarField) -> np.ndarray:
     return np.stack([gx, gy], axis=-1)
 
 
-def energy_terms(u: "ScalarField | np.ndarray", norm: NormSpec, eps: float = 0.0):
-    """Per-triangle (F^2 + eps^2, F dF) of grad u; energy and gradient share one pass.
-
-    ``u`` is a ScalarField or its gradient components (gx, gy), which a line
-    search along a ray forms without a sparse product.
-    """
-    gx, gy = u.tri.gradient_components(u.values) if isinstance(u, ScalarField) else u
-    f2, hx, hy = squared_with_halfgrad(norm, gx, gy)
-    f2 += eps * eps
-    return f2, hx, hy
+def energy_terms(comps: np.ndarray, norm: NormSpec):
+    """Per-triangle (F^2, F dF) of gradient components (gx, gy); energy and gradient share it."""
+    return squared_with_halfgrad(norm, *comps)
 
 
 def energy_from_terms(tri: Triangulation, terms, p: float) -> float:
-    f2e = terms[0]
-    s = np.sqrt(f2e.max(initial=0.0))  # a numpy scalar: s ** p overflows to inf, not an error
+    f2 = terms[0]
+    s = np.sqrt(f2.max(initial=0.0))  # a numpy scalar: s ** p overflows to inf, not an error
     if s == 0.0:
         return 0.0
     # scaled form keeps F^p finite for large p
-    x = f2e / (s * s)
+    x = f2 / (s * s)
     x **= 0.5 * p
     return float(tri.area * s ** p * x.sum())
 
 
 def gradient_from_terms(tri: Triangulation, terms, p: float) -> np.ndarray:
     """Node values of the energy gradient, from the terms of energy_terms."""
-    f2e, hx, hy = terms
-    s2 = f2e.max(initial=0.0)
+    f2, hx, hy = terms
+    s2 = f2.max(initial=0.0)
     if s2 == 0.0:
         return np.zeros(tri.ndof)
-    # w = p * (F^2+eps^2)^{(p-2)/2} scaled by s2 against overflow; 0 where F^2+eps^2 = 0
-    w = f2e / s2
+    # w = p F^{p-2} scaled by s2 against overflow; 0 where F = 0
+    w = f2 / s2
     if p > 2.0:
         w **= 0.5 * p - 1.0  # 0 stays 0 for a positive exponent: the mask below is moot
     else:
-        np.power(w, 0.5 * p - 1.0, out=w, where=f2e > 0.0)
+        np.power(w, 0.5 * p - 1.0, out=w, where=f2 > 0.0)
     w *= p * s2 ** (0.5 * p - 1.0)
     g = tri.GxT @ (w * hx) + tri.GyT @ (w * hy)
     g *= tri.area
     return g
 
 
-def energy_p(u: ScalarField, norm: NormSpec, p: float, eps: float = 0.0) -> float:
-    """sum_T area * (F^2(grad u) + eps^2)^(p/2); convex in u, p-homogeneous at eps=0."""
+def energy_p(u: ScalarField, norm: NormSpec, p: float) -> float:
+    """sum_T area * F(grad u)^p; convex and p-homogeneous in u."""
     if p <= 1.0:
         raise ValueError("p must exceed 1")
-    return energy_from_terms(u.tri, energy_terms(u, norm, eps), p)
+    return energy_from_terms(u.tri, energy_terms(u.tri.gradient_components(u.values), norm), p)
 
 
-def energy_gradient(u: ScalarField, norm: NormSpec, p: float, eps: float = 0.0) -> ScalarField:
+def energy_gradient(u: ScalarField, norm: NormSpec, p: float) -> ScalarField:
     """Exact gradient of energy_p with respect to the node values."""
     if p <= 1.0:
         raise ValueError("p must exceed 1")
-    return ScalarField(u.tri, gradient_from_terms(u.tri, energy_terms(u, norm, eps), p))
+    terms = energy_terms(u.tri.gradient_components(u.values), norm)
+    return ScalarField(u.tri, gradient_from_terms(u.tri, terms, p))
 
 
 def mass_p(u: ScalarField, p: float) -> float:
