@@ -50,18 +50,19 @@ class ConvergenceError(RuntimeError):
     """Raised when an eigenvalue solve ends far from stationarity."""
 
 
-_KINDS = ("triangulations", "p2_factorizations")
+_KINDS = ("triangulations", "p2_factorizations", "newton_matrices")
 
 
 class _GridContext:
     """What one experiments.run() computes once per grid and keeps for the run.
 
-    It holds the triangulations, keyed by (h, origin, mask shape, mask
-    bytes), and the p=2 eigenpairs (one eigsh call serves k = 1 and 2),
-    keyed by that and the norm; their arrays are read-only.  It is active
-    only inside the ``with`` block, and only experiments.run() opens one, so
-    a direct library call computes everything afresh and nothing outlives a
-    run.  A miss goes through the public triangulate / solve_linear_p2.
+    It holds the triangulations and the Newton matrices of lambda_1's
+    components, keyed by (h, origin, mask shape, mask bytes), and the p=2
+    eigenpairs (one eigsh call serves k = 1 and 2), keyed by that and the
+    norm; their arrays are read-only.  It is active only inside the ``with``
+    block, and only experiments.run() opens one, so a direct library call
+    computes everything afresh and nothing outlives a run.  A miss goes
+    through the public triangulate / solve_linear_p2, or builds a _NewtonMatrix.
     """
 
     def __init__(self):
@@ -324,6 +325,20 @@ class _NewtonMatrix:
         return d[self.rank]
 
 
+def _newton_matrix(tri: Triangulation) -> _NewtonMatrix:
+    """_NewtonMatrix(tri), or inside experiments.run() the one kept for tri's mask:
+    built once, with its arrays read-only."""
+    ctx = _CONTEXT.get()
+    if ctx is None:
+        return _NewtonMatrix(tri)
+    key = _grid_key(tri.grid)
+    kkt = ctx.lookup("newton_matrices", key)
+    if kkt is None:
+        kkt = ctx.keep("newton_matrices", key, _NewtonMatrix(tri))
+        _read_only(kkt.perm, kkt.rank, kkt.rows, kkt.cols, *kkt.band, *_sparse_arrays(kkt.map))
+    return kkt
+
+
 def _newton_stage(tri, kkt, norm, p, values, tol, max_iter):
     """Newton's method for the quotient on the mass sphere at one exponent.
 
@@ -422,7 +437,7 @@ def solve_lambda1(
     best, total = None, 0
     for part in components(grid) if grid.num_components > 1 else [grid]:
         sub = tri if part is grid else _triangulation(part)
-        kkt = _NewtonMatrix(sub)
+        kkt = _newton_matrix(sub)
         v = None if warm is None else warm[part.mask]
         if v is not None and np.abs(v).max(initial=0.0) > 0.0:
             ladder = [p]

@@ -354,8 +354,8 @@ _RUNNERS = {
 
 
 def run(cfg: ExperimentConfig) -> Report:
-    """Run one experiment; triangulations and p=2 eigenpairs that repeat
-    within the run are computed once (see eigensolve._GridContext)."""
+    """Run one experiment; triangulations, Newton matrices and p=2 eigenpairs
+    that repeat within the run are computed once (see eigensolve._GridContext)."""
     t0 = time.perf_counter()
     with eig._GridContext() as ctx:
         rep = _RUNNERS[cfg.experiment](cfg)

@@ -380,11 +380,17 @@ def test_grid_context_keeps_reports_byte_identical():
     assert report_json(experiments.run_hks(cfg)) == first
 
 
+def two_disk_domain():
+    return [{"type": "euclidean_disk", "center": [0.0, 0.0], "radius": 1.0},
+            {"type": "euclidean_disk", "center": [3.0, 0.0], "radius": 0.75}]
+
+
 def test_grid_context_triangulates_and_factorizes_each_grid_once(monkeypatch):
     from finsler_spectra import eigensolve, experiments
 
-    tris, factorizations = [], []
+    tris, factorizations, matrices = [], [], []
     triangulate, solve_linear_p2 = eigensolve.triangulate, eigensolve.solve_linear_p2
+    newton_matrix = eigensolve._NewtonMatrix
 
     def counted_triangulate(grid):
         tris.append(eigensolve._grid_key(grid))
@@ -394,21 +400,35 @@ def test_grid_context_triangulates_and_factorizes_each_grid_once(monkeypatch):
         factorizations.append((eigensolve._grid_key(grid), norm))
         return solve_linear_p2(grid, norm, k)
 
+    def counted_newton_matrix(tri):
+        matrices.append(eigensolve._grid_key(tri.grid))
+        return newton_matrix(tri)
+
     monkeypatch.setattr(eigensolve, "triangulate", counted_triangulate)
     monkeypatch.setattr(eigensolve, "solve_linear_p2", counted_solve_linear_p2)
+    monkeypatch.setattr(eigensolve, "_NewtonMatrix", counted_newton_matrix)
+    counts = (tris, factorizations, matrices)
     for norm in ({"family": "euclidean"}, {"family": "lq", "q": 3.0}):
         cfg = ExperimentConfig.from_dict(hks_config(norm))
-        tris.clear()
-        factorizations.clear()
+        for c in counts:
+            c.clear()
         run(cfg)
-        assert len(tris) == len(set(tris)) > 1
-        assert len(factorizations) == len(set(factorizations)) > 1
-        # without the context the same runner repeats both
-        tris.clear()
-        factorizations.clear()
+        assert all(len(c) == len(set(c)) > 1 for c in counts)
+        # without the context the same runner repeats all three
+        for c in counts:
+            c.clear()
         experiments.run_hks(cfg)
-        assert len(tris) > len(set(tris))
-        assert len(factorizations) > len(set(factorizations))
+        assert all(len(c) > len(set(c)) for c in counts)
+    # a disconnected domain: one kept matrix per connected component, none for the whole
+    cfg = base_cfg(domain=two_disk_domain(), h=1.0 / 8, p_list=[1.5, 3.0])
+    grid = fs.rasterize(cfg.domain, cfg.h)
+    parts = {eigensolve._grid_key(part) for part in fs.components(grid)}
+    matrices.clear()
+    run(cfg)
+    assert len(parts) == 2 and sorted(matrices) == sorted(parts)
+    matrices.clear()
+    experiments.run_lambda1(cfg)
+    assert len(matrices) == 2 * len(parts) and set(matrices) == parts
 
 
 def test_grid_context_values_are_read_only():
@@ -416,24 +436,34 @@ def test_grid_context_values_are_read_only():
 
     grid = fs.rasterize(fs.ShapeSpec.from_dict(lshape_domain()), 1.0 / 12)
     norm = fs.euclidean()
+    aniso = fs.weighted_quadratic(4.0, 1.0)
+    fresh = [fs.solve_lambda1(grid, aniso, p) for p in (1.5, 8.0)]
     with eigensolve._GridContext() as ctx:
         tri = eigensolve._triangulation(grid)
         pair = eigensolve._linear_p2(grid, norm, 2)
         assert eigensolve._triangulation(grid) is tri
         assert eigensolve._linear_p2(grid, norm, 2) is pair
-        (pairs,) = ctx.kept["p2_factorizations"].values()
+        # both solves run on the one Newton matrix the first of them kept
+        kept_solves = [fs.solve_lambda1(grid, aniso, p) for p in (1.5, 8.0)]
+        pairs = ctx.kept["p2_factorizations"][eigensolve._grid_key(grid), norm]
+        (kkt,) = ctx.kept["newton_matrices"].values()
+        assert kkt.tri is tri
         kept = [tri.node_index, tri.dof_nodes, tri.cell_ij, tri.grid.mask, tri.grid.component_id,
-                pair.u.values, pairs.w, pairs.vecs]
-        for mat in (tri.G, tri.GxT, tri.GyT, pairs.K):
+                pair.u.values, pairs.w, pairs.vecs, kkt.perm, kkt.rank, kkt.rows, kkt.cols, *kkt.band]
+        for mat in (tri.G, tri.GxT, tri.GyT, pairs.K, kkt.map):
             kept += [mat.data, mat.indices, mat.indptr]
         for a in kept:
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = a.copy()
-    assert ctx.built == {"triangulations": 1, "p2_factorizations": 1}
+    assert ctx.built == {"triangulations": 1, "p2_factorizations": 2, "newton_matrices": 1}
+    assert ctx.reused["newton_matrices"] == 1
+    for r, f in zip(kept_solves, fresh):
+        assert r.to_dict() == f.to_dict() and r.u.values.tobytes() == f.u.values.tobytes()
     # outside a context every call builds a fresh, writable value
     again = eigensolve._triangulation(grid)
     assert again is not tri and again.node_index.flags.writeable and again.G.data.flags.writeable
     assert eigensolve._linear_p2(grid, norm, 2).u.values.flags.writeable
+    assert eigensolve._newton_matrix(again).perm.flags.writeable
 
 
 def test_grid_context_ends_with_the_run(monkeypatch):
@@ -465,7 +495,8 @@ def test_grid_context_logs_one_debug_line_per_run(tmp_path, monkeypatch, capsys)
     cfg_path = tmp_path / "hks.json"
     cfg_path.write_text(json.dumps(hks_config()))
     pattern = re.compile(r"grid context: triangulations built=(\d+) reused=(\d+); "
-                         r"p2_factorizations built=(\d+) reused=(\d+)$")
+                         r"p2_factorizations built=(\d+) reused=(\d+); "
+                         r"newton_matrices built=(\d+) reused=(\d+)$")
     reports = []
     for level in ("error", "debug"):
         monkeypatch.setenv("FS_LOG", level)
@@ -551,7 +582,8 @@ def test_one_info_line_per_top_level_solve(tmp_path, monkeypatch, capsys, experi
 def test_a_repeated_p_is_solved_again_from_the_grid_context(caplog):
     caplog.set_level(logging.DEBUG, logger="finsler_spectra")
     pattern = re.compile(r"grid context: triangulations built=(\d+) reused=(\d+); "
-                         r"p2_factorizations built=(\d+) reused=(\d+)$")
+                         r"p2_factorizations built=(\d+) reused=(\d+); "
+                         r"newton_matrices built=(\d+) reused=(\d+)$")
     results = {}
     for p_list in ([2.0, 3.0], [2.0, 3.0, 3.0]):
         caplog.clear()
@@ -561,6 +593,7 @@ def test_a_repeated_p_is_solved_again_from_the_grid_context(caplog):
         results[len(p_list)] = (json.loads(report_json(rep))["records"], [int(n) for n in counts])
     (records2, counts2), (records3, counts3) = results[2], results[3]
     assert records3[1] == records3[2] and records3[:2] == records2
-    # the repeat builds nothing: every triangulation and p=2 pair it needs is a context hit
-    assert counts3[0] == counts2[0] and counts3[2] == counts2[2]
-    assert counts3[1] > counts2[1] and counts3[3] > counts2[3]
+    # the repeat builds nothing: every triangulation, p=2 pair and Newton matrix it needs
+    # is a context hit
+    assert counts3[0::2] == counts2[0::2]
+    assert all(c3 > c2 for c3, c2 in zip(counts3[1::2], counts2[1::2]))
