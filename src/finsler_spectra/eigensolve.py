@@ -61,8 +61,8 @@ class _GridContext:
     eigenpairs (one eigsh call serves k = 1 and 2), keyed by that and the
     norm; their arrays are read-only.  It is active only inside the ``with``
     block, and only experiments.run() opens one, so a direct library call
-    computes everything afresh and nothing outlives a run.  A miss goes
-    through the public triangulate / solve_linear_p2, or builds a _NewtonMatrix.
+    computes everything afresh and nothing outlives a run.  _kept is the one
+    path that builds and keeps a value.
     """
 
     def __init__(self):
@@ -85,11 +85,6 @@ class _GridContext:
             self.reused[kind] += 1
         return value
 
-    def keep(self, kind: str, key, value):
-        self.kept[kind][key] = value
-        self.built[kind] += 1
-        return value
-
     def summary(self) -> str:
         return "; ".join(f"{kind} built={self.built[kind]} reused={self.reused[kind]}"
                          for kind in _KINDS)
@@ -103,28 +98,30 @@ def _grid_key(grid: DomainGrid):
     return grid.h, grid.origin, grid.mask.shape, grid.mask.tobytes()
 
 
-def _read_only(*arrays: np.ndarray) -> None:
-    for a in arrays:
-        a.flags.writeable = False
-
-
 def _sparse_arrays(*mats):
     return [a for m in mats for a in (m.data, m.indices, m.indptr)]
 
 
-def _triangulation(grid: DomainGrid) -> Triangulation:
-    """triangulate(grid), or inside experiments.run() the triangulation kept
-    for this mask: built once, with all its arrays (and its grid's) read-only."""
+def _kept(kind: str, key, build, arrays):
+    """build(), or inside experiments.run() the value kept under (kind, key): a miss
+    builds and keeps it with arrays(value) read-only, a hit counts a reuse."""
     ctx = _CONTEXT.get()
     if ctx is None:
-        return triangulate(grid)
-    key = _grid_key(grid)
-    tri = ctx.lookup("triangulations", key)
-    if tri is None:
-        tri = ctx.keep("triangulations", key, triangulate(grid))
-        _read_only(tri.node_index, tri.dof_nodes, tri.cell_ij, tri.grid.mask,
-                   tri.grid.component_id, *_sparse_arrays(tri.G, tri.GxT, tri.GyT))
-    return tri
+        return build()
+    value = ctx.lookup(kind, key)
+    if value is None:
+        value = ctx.kept[kind][key] = build()
+        ctx.built[kind] += 1
+        for a in arrays(value):
+            a.flags.writeable = False
+    return value
+
+
+def _triangulation(grid: DomainGrid) -> Triangulation:
+    """triangulate(grid), or inside experiments.run() the one kept for grid's mask."""
+    return _kept("triangulations", _grid_key(grid), lambda: triangulate(grid),
+                 lambda tri: [tri.node_index, tri.dof_nodes, tri.cell_ij, tri.grid.mask,
+                              tri.grid.component_id, *_sparse_arrays(tri.G, tri.GxT, tri.GyT)])
 
 
 @dataclass(frozen=True)
@@ -326,17 +323,10 @@ class _NewtonMatrix:
 
 
 def _newton_matrix(tri: Triangulation) -> _NewtonMatrix:
-    """_NewtonMatrix(tri), or inside experiments.run() the one kept for tri's mask:
-    built once, with its arrays read-only."""
-    ctx = _CONTEXT.get()
-    if ctx is None:
-        return _NewtonMatrix(tri)
-    key = _grid_key(tri.grid)
-    kkt = ctx.lookup("newton_matrices", key)
-    if kkt is None:
-        kkt = ctx.keep("newton_matrices", key, _NewtonMatrix(tri))
-        _read_only(kkt.perm, kkt.rank, kkt.rows, kkt.cols, *kkt.band, *_sparse_arrays(kkt.map))
-    return kkt
+    """_NewtonMatrix(tri), or inside experiments.run() the one kept for tri's mask."""
+    return _kept("newton_matrices", _grid_key(tri.grid), lambda: _NewtonMatrix(tri),
+                 lambda kkt: [kkt.perm, kkt.rank, kkt.rows, kkt.cols, *kkt.band,
+                              *_sparse_arrays(kkt.map)])
 
 
 def _newton_stage(tri, kkt, norm, p, values, tol, max_iter):
@@ -415,7 +405,7 @@ def solve_lambda1(
     norm: NormSpec,
     p: float,
     opts: SolverOptions = SolverOptions(),
-    initial: Optional[ScalarField] = None,
+    initial: Optional[np.ndarray] = None,
     plateau: None = None,
 ) -> EigenResult:
     """Minimize the Rayleigh quotient; returns the nonnegative eigenfunction.
@@ -424,21 +414,22 @@ def solve_lambda1(
     on its own (at p < 2 the mass Hessian is infinite where u vanishes); u is
     zero off the winning one.  A component climbs the doubling ladder from its
     p=2 linear eigenfunction, one Newton stage per rung, or takes one stage at
-    p from ``initial`` (shaped for p) where that is nonzero.  A stage that
-    reaches ``opts.max_iter`` steps raises ConvergenceError.  ``plateau`` is
-    no longer a setting and must stay None.
+    p from ``initial``, a frame array (nx, ny) shaped for p, where that is
+    nonzero.  A stage that reaches ``opts.max_iter`` steps raises
+    ConvergenceError.  ``plateau`` is no longer a setting and must stay None.
     """
     if not 1.0 < p < np.inf:
         raise ValueError("p must lie in (1, inf)")
     if plateau is not None:
         raise ValueError(f"solve_lambda1: plateau is no longer a setting, got plateau={plateau!r}")
+    if initial is not None and np.shape(initial) != grid.mask.shape:
+        raise ValueError(f"initial must have the grid's shape {grid.mask.shape}, not {np.shape(initial)}")
     tri = _triangulation(grid)
-    warm = None if initial is None else initial.as_grid_array()
     best, total = None, 0
     for part in components(grid) if grid.num_components > 1 else [grid]:
         sub = tri if part is grid else _triangulation(part)
         kkt = _newton_matrix(sub)
-        v = None if warm is None else warm[part.mask]
+        v = None if initial is None else initial[part.mask]
         if v is not None and np.abs(v).max(initial=0.0) > 0.0:
             ladder = [p]
         else:
@@ -504,8 +495,7 @@ class _LinearPairs:
         if residual > 1e-9:
             raise ConvergenceError(f"linear p=2 oracle did not converge: k={k}, residual={residual:.2e}")
         count, _ = nodal_domains(u)
-        if not self.vecs.flags.writeable:
-            _read_only(v)
+        v.flags.writeable = self.vecs.flags.writeable  # read-only where the pairs are kept
         self._results[k] = EigenResult(lam=lam, u=u, p=2.0, iterations=self.solves,
                                        residual=residual, nodal_count=count)
         return self._results[k]
@@ -521,21 +511,16 @@ def solve_linear_p2(grid: DomainGrid, norm: NormSpec, k: int) -> EigenResult:
     discrete minimizer the nonlinear solver targets.  Two pairs are computed
     even for k = 1: asked for one pair of a degenerate lambda_1 (two equal
     components), ARPACK stops near a 1e-9 residual.  Inside experiments.run()
-    both pairs are kept for the rest of the run.  ``iterations`` counts the
+    both pairs are kept and reused for the run.  ``iterations`` counts the
     LU solves; ``residual`` is the relative residual of the returned pair.
     """
     if norm.q != 2.0:
         raise ValueError(f"the linear p=2 oracle needs a quadratic norm (q = 2), got q={norm.q!r}")
     if k not in (1, 2):
         raise ValueError("k must be 1 or 2")
-    tri = _triangulation(grid)
-    if tri.ndof < k:
-        raise ValueError(f"eigenpair k={k} needs at least k interior nodes, got ndof={tri.ndof}")
-    pairs = _LinearPairs(tri, norm)
-    ctx = _CONTEXT.get()
-    if ctx is not None:
-        _read_only(pairs.w, pairs.vecs, *_sparse_arrays(pairs.K))
-        ctx.keep("p2_factorizations", (_grid_key(grid), norm), pairs)
+    pairs = _kept("p2_factorizations", (_grid_key(grid), norm),
+                  lambda: _LinearPairs(_triangulation(grid), norm),
+                  lambda pairs: [pairs.w, pairs.vecs, *_sparse_arrays(pairs.K)])
     return pairs.result(k)
 
 
@@ -559,12 +544,11 @@ class _PartSolver:
         self.cache = {}
 
     def solve(self, mask: np.ndarray, warm: Optional[np.ndarray] = None) -> EigenResult:
-        """warm is a full-frame value array used to seed the sub-solve."""
+        """lambda_1 on mask, solved once; warm is a frame array (nx, ny) of start values."""
         key = mask.tobytes()
         if key not in self.cache:
             sub = self.grid.subgrid(mask)
-            initial = None if warm is None else ScalarField(_triangulation(sub), warm[sub.mask])
-            self.cache[key] = solve_lambda1(sub, self.norm, self.p, self.opts, initial=initial)
+            self.cache[key] = solve_lambda1(sub, self.norm, self.p, self.opts, initial=warm)
         return self.cache[key]
 
 

@@ -26,8 +26,8 @@ from . import distance as dist
 from . import eigensolve as eig
 from .eigensolve import SolverOptions
 from .fem import triangulate
-from .geometry import (DomainGrid, ShapeSpec, _check_keys, _grid_frame, measure, rasterize, shape,
-                       wulff)
+from .geometry import (DomainGrid, ShapeSpec, _check_keys, _grid_frame, _numbers, measure,
+                       rasterize, shape, wulff)
 from .norms import NormSpec, check_duality, norm_from_dict, wulff_measure
 
 log = logging.getLogger("finsler_spectra")
@@ -59,6 +59,12 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if not 0.0 < self.h < np.inf:
             raise ValueError(f"h must be finite and positive, got {self.h}")
+        if not all(1.0 < p < np.inf for p in self.p_list):
+            raise ValueError(f"p_list entries must lie in (1, inf), got {list(self.p_list)}")
+        if not 0.0 <= self.tolerance < 1.0:
+            raise ValueError(f"tolerance must be finite and in [0, 1), got {self.tolerance!r}")
+        if isinstance(self.samples, bool) or not isinstance(self.samples, int) or self.samples < 1:
+            raise ValueError(f"samples must be an integer >= 1, got {self.samples!r}")
         _, nx, ny = _grid_frame(self.domain, self.h)  # rejects a frame above MAX_GRID_NODES
         # the reference shape a runner rasterizes at the same h: the unit Wulff shape, or
         # for hks one of half the domain's measure, bounded here by the frame's area
@@ -80,10 +86,10 @@ class ExperimentConfig:
             domain=ShapeSpec.from_dict(d["domain"]),
             norm=norm_from_dict(d["norm"]),
             h=float(d["h"]),
-            p_list=tuple(float(p) for p in d.get("p_list", [2.0])),
+            p_list=_numbers("p_list", d.get("p_list", [2.0])),
             solver=SolverOptions.from_dict(d.get("solver", {})),
             tolerance=float(d.get("tolerance", DEFAULT_TOLERANCE)),
-            samples=int(d.get("samples", 100)),
+            samples=d.get("samples", 100),
             out=d.get("out"),
         )
 

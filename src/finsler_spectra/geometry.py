@@ -47,6 +47,16 @@ def _check_keys(where: str, d, required: tuple, optional: tuple = ()) -> None:
         raise ValueError(f"{where}: unknown key(s) {unknown}")
 
 
+def _numbers(where: str, x, count: Optional[int] = None) -> Tuple[float, ...]:
+    """A JSON list of numbers (of count entries, if given) as floats; anything else
+    raises a ValueError that names where."""
+    if (isinstance(x, list) and count in (None, len(x))
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in x)):
+        return tuple(float(v) for v in x)
+    want = "a JSON list of numbers" if count is None else f"{count} numbers"
+    raise ValueError(f"{where} must be {want}, got {x!r}")
+
+
 @dataclass(frozen=True)
 class ShapePrimitive:
     kind: str
@@ -103,7 +113,7 @@ class ShapePrimitive:
         mode = d.get("mode", "add")
         if kind == RECTANGLE:
             return ShapePrimitive(kind, mode, x0=d["x0"], y0=d["y0"], x1=d["x1"], y1=d["y1"])
-        center = tuple(float(c) for c in d["center"])
+        center = _numbers(f"{kind} primitive: center", d["center"], 2)
         norm = norm_from_dict(d["norm"]) if kind == WULFF else euclidean()
         return ShapePrimitive(kind, mode, center=center, radius=float(d["radius"]), norm=norm)
 

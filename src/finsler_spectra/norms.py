@@ -70,6 +70,8 @@ _SPELLINGS = {
 
 
 def norm_from_dict(d: dict) -> NormSpec:
+    if not isinstance(d, dict):
+        raise ValueError(f"norm must be a JSON object, got {d!r}")
     family = d.get("family")
     if family not in _SPELLINGS:
         raise ValueError(f"unknown norm family {family!r}")

@@ -254,6 +254,40 @@ def test_lambda1_rejects_plateau(square_grid):
         fs.solve_lambda1(square_grid, fs.euclidean(), 3.0, plateau=(100, 1e-9))
 
 
+def test_lambda1_initial_is_a_frame_array():
+    grid = fs.rasterize(unit_square_spec(), 1.0 / 12)
+    norm = fs.lq_norm(3.0)
+    cold = fs.solve_lambda1(grid, norm, 3.0)
+    for bad in (np.ones(5), cold.u.values, cold.u):
+        with pytest.raises(ValueError, match="initial"):
+            fs.solve_lambda1(grid, norm, 3.0, initial=bad)
+    # an all-zero start takes the cold ladder; a nonzero one one stage at p
+    zero = fs.solve_lambda1(grid, norm, 3.0, initial=np.zeros(grid.mask.shape))
+    assert zero.to_dict() == cold.to_dict() and zero.u.values.tobytes() == cold.u.values.tobytes()
+    warm = fs.solve_lambda1(grid, norm, 3.0, initial=cold.u.as_grid_array())
+    assert warm.lam == pytest.approx(cold.lam, rel=1e-10) and warm.iterations < cold.iterations
+
+
+def test_warm_part_solve_triangulates_its_mask_once(monkeypatch):
+    from finsler_spectra import eigensolve
+
+    grid = fs.rasterize(unit_square_spec(), 1.0 / 12)
+    norm = fs.euclidean()
+    half = grid.mask.copy()
+    half[grid.mask.shape[0] // 2:] = False
+    warm = fs.solve_lambda1(grid, norm, 3.0).u.as_grid_array()
+    keys, triangulate = [], eigensolve.triangulate
+
+    def counted_triangulate(g):
+        keys.append(eigensolve._grid_key(g))
+        return triangulate(g)
+
+    monkeypatch.setattr(eigensolve, "triangulate", counted_triangulate)
+    solver = eigensolve._PartSolver(grid, norm, 3.0, SolverOptions())
+    assert solver.solve(half, warm).iterations > 0
+    assert keys == [eigensolve._grid_key(grid.subgrid(half))]
+
+
 @pytest.mark.parametrize("family", sorted(ALL_NORMS))
 def test_lambda1_p32_from_four_starts_on_the_nodal_half(monkeypatch, family):
     # the half of the unit square that the nodal split gives, from the p=2 start and

@@ -133,10 +133,36 @@ def _valid_config(**over):
     (_valid_config(domain=[{"type": "wulff", "center": [0.0, 0.0], "radius": 1.0}]), "norm"),
     (_valid_config(domain=[{"center": [0.0, 0.0], "radius": 1.0}]), "type"),
     (_valid_config(domain=[{"type": "circle", "center": [0.0, 0.0], "radius": 1.0}]), "circle"),
+    (_valid_config(norm="euclidean"), "norm"),
+    (_valid_config(norm=None), "norm"),
+    (_valid_config(domain=[{"type": "euclidean_disk", "center": [0.0], "radius": 1.0}]), "center"),
+    (_valid_config(domain=[{"type": "euclidean_disk", "center": [0.0] * 3, "radius": 1.0}]), "center"),
 ])
 def test_config_rejects_unknown_and_missing_keys(raw, field):
     with pytest.raises(ValueError, match=field):
         ExperimentConfig.from_dict(raw)
+
+
+@pytest.mark.parametrize("field, value, experiment", [
+    ("p_list", [1.0], "lambda1"),
+    ("p_list", [0.5], "lambda1"),
+    ("p_list", [float("nan")], "lambda1"),
+    ("p_list", [float("inf")], "lambda1"),
+    ("p_list", "23", "lambda1"),
+    ("p_list", 3, "lambda1"),
+    ("samples", 0, "duality"),
+    ("samples", 2.5, "duality"),
+    ("tolerance", float("nan"), "faber_krahn"),
+    ("tolerance", -1, "faber_krahn"),
+])
+def test_config_rejects_bad_p_list_samples_and_tolerance(field, value, experiment):
+    with pytest.raises(ValueError, match=field):
+        ExperimentConfig.from_dict(_valid_config(experiment=experiment, **{field: value}))
+
+
+def test_check_duality_rejects_a_norm_that_is_not_an_object():
+    with pytest.raises(ValueError, match="norm"):
+        cli.main(["check-duality", "--norm", '"euclidean"'])
 
 
 def test_debug_log_leaves_distance_report_unchanged(tmp_path, monkeypatch, capsys):
@@ -464,6 +490,16 @@ def test_grid_context_values_are_read_only():
     assert again is not tri and again.node_index.flags.writeable and again.G.data.flags.writeable
     assert eigensolve._linear_p2(grid, norm, 2).u.values.flags.writeable
     assert eigensolve._newton_matrix(again).perm.flags.writeable
+
+
+def test_grid_context_keeps_direct_linear_p2_pairs():
+    from finsler_spectra import eigensolve
+
+    grid = fs.rasterize(fs.ShapeSpec.from_dict(lshape_domain()), 1.0 / 12)
+    with eigensolve._GridContext() as ctx:
+        first = fs.solve_linear_p2(grid, fs.euclidean(), 1)
+        assert fs.solve_linear_p2(grid, fs.euclidean(), 1) is first
+    assert ctx.built["p2_factorizations"] == 1 and ctx.reused["p2_factorizations"] == 1
 
 
 def test_grid_context_ends_with_the_run(monkeypatch):
