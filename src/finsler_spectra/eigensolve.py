@@ -520,7 +520,7 @@ def solve_linear_p2(grid: DomainGrid, norm: NormSpec, k: int) -> EigenResult:
         raise ValueError("k must be 1 or 2")
     pairs = _kept("p2_factorizations", (_grid_key(grid), norm),
                   lambda: _LinearPairs(_triangulation(grid), norm),
-                  lambda pairs: [pairs.w, pairs.vecs, *_sparse_arrays(pairs.K)])
+                  lambda p2: [p2.w, p2.vecs, *_sparse_arrays(p2.K)])
     return pairs.result(k)
 
 

@@ -261,7 +261,7 @@ def test_lambda1_initial_is_a_frame_array():
     for bad in (np.ones(5), cold.u.values, cold.u):
         with pytest.raises(ValueError, match="initial"):
             fs.solve_lambda1(grid, norm, 3.0, initial=bad)
-    # an all-zero start takes the cold ladder; a nonzero one one stage at p
+    # an all-zero start takes the cold ladder, a nonzero one a single stage at p
     zero = fs.solve_lambda1(grid, norm, 3.0, initial=np.zeros(grid.mask.shape))
     assert zero.to_dict() == cold.to_dict() and zero.u.values.tobytes() == cold.u.values.tobytes()
     warm = fs.solve_lambda1(grid, norm, 3.0, initial=cold.u.as_grid_array())
