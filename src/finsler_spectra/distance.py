@@ -1,21 +1,22 @@
 """Anisotropic distance to the boundary, inradius, and two-shape packing.
 
 The distance of an interior node x is min over boundary-ring nodes y of
-F_polar(x - y).  Every polar norm is a Minkowski p-norm after a coordinate
-scale, F_polar(x) = ||x / sqrt(w)||_q' with q' = q/(q-1)
-(`norms.minkowski_frame`), so a `scipy.spatial.cKDTree` over the scaled ring
-nodes finds each node's nearest ring node in O(log N).  The tree's own arithmetic may differ from `eval_norm` in the
-last bits, so it only selects candidates: every ring node within the tree
-distance times (1 + _SLACK) is kept, and the reported value is the minimum
-of `eval_norm` over them.  The true minimizer is always among them, so the
-field is bit-identical to the all-pairs minimum.  The ridge spread of the
-eikonal check selects its near-minimizers the same way.
+F_polar(x - y).  Every polar norm is an l_q' norm after a coordinate scale,
+F_polar(x) = ||x / sqrt(w)||_q' with q' = q/(q-1) (`norms.minkowski_frame`),
+and ||z||_q' >= a|z| with a = min(1, 2^(1/q' - 1/2)).  So a Euclidean
+`scipy.spatial.cKDTree` over the scaled ring nodes, far cheaper than its
+metric p = q', selects candidates in blocks of _BLOCK nodes: those within
+(1 + _SLACK) r/a, r the polar distance to the Euclidean-nearest ring node.
+The minimum of `eval_norm` over them is bit-identical to the all-pairs
+minimum, as the true minimizer is among them.  The eikonal check selects its
+near-minimizers the same way.
 
 `sup_rayleigh` maximizes a quotient over all node pairs by branch and bound:
 a lower bound L comes from short pairs, the nodes are split into value
-bands, and a pair (i, j) with j in a band of minimum value a can only beat
-L if F_polar(x_i - x_j) < (v_i - a) / L.  Only the pairs inside those
-radii are scored, with the all-pairs expression, so the maximum is exact.
+bands, and a pair (i, j) with j in a band of minimum value m can only beat
+L if F_polar(x_i - x_j) < (v_i - m) / L.  Only the pairs inside those radii
+(times 1/a in the tree) are scored, with the all-pairs expression, so the
+maximum is exact.
 """
 from __future__ import annotations
 
@@ -34,6 +35,7 @@ from .norms import NormSpec, eval_norm, eval_norm_sq, linear_bounds, minkowski_f
 log = logging.getLogger(__name__)
 
 _CHUNK = 2048           # rows per block of the pairwise polar diameter
+_BLOCK = 2048           # query points per block of a ball query
 _PAIRWISE_DIRECT = 600  # below this many points skip the hull
 # relative widening of tree radii, far above the rounding gap between the
 # tree's distances and eval_norm, so no exact candidate is lost
@@ -66,12 +68,19 @@ class PackingResult:
     norm: NormSpec
 
 
-def _ball_pairs(tree: cKDTree, pts: np.ndarray, radius, p: float):
-    """(row, col) index arrays of the tree points within radius of each query point."""
-    lists = tree.query_ball_point(pts, radius, p=p, return_sorted=False)
-    rows = np.repeat(np.arange(len(lists)), [len(ls) for ls in lists])
-    cols = np.fromiter(chain.from_iterable(lists), dtype=np.intp, count=len(rows))
-    return rows, cols
+def _euclidean_frame(pol: NormSpec):
+    """(scale, 1/a) of the module docstring: a polar radius r needs the tree radius r/a."""
+    return minkowski_frame(pol), 1.0 / linear_bounds(NormSpec(q=pol.q))[0]
+
+
+def _ball_pairs(tree: cKDTree, pts: np.ndarray, radius: np.ndarray):
+    """Per block of _BLOCK query points, the (row, col) index arrays of the tree
+    points within Euclidean distance radius[row] of pts[row]."""
+    for lo in range(0, len(pts), _BLOCK):
+        lists = tree.query_ball_point(pts[lo:lo + _BLOCK], radius[lo:lo + _BLOCK], return_sorted=False)
+        rows = np.repeat(np.arange(lo, lo + len(lists)), [len(ls) for ls in lists])
+        cols = np.fromiter(chain.from_iterable(lists), dtype=np.intp, count=len(rows))
+        yield rows, cols
 
 
 def distance_transform(grid: DomainGrid, norm: NormSpec) -> DistanceField:
@@ -79,16 +88,18 @@ def distance_transform(grid: DomainGrid, norm: NormSpec) -> DistanceField:
     if grid.interior_count == 0:
         raise ValueError("distance_transform: empty grid")
     pol = polar(norm)
-    scale, p = minkowski_frame(pol)
+    scale, widen = _euclidean_frame(pol)
     bpts = grid.node_points(grid.boundary_node_indices())
     inodes = np.argwhere(grid.mask)
     ipts = grid.node_points(inodes)
     tree = cKDTree(bpts * scale)
-    d_kd, _ = tree.query(ipts * scale, k=1, p=p)
-    rows, cols = _ball_pairs(tree, ipts * scale, d_kd * (1.0 + _SLACK), p)
-    d = np.full(len(ipts), np.inf)
-    np.minimum.at(d, rows, eval_norm(pol, ipts[rows] - bpts[cols]))
-    log.debug("distance_transform: nodes=%d ring=%d pairs=%d", len(ipts), len(bpts), len(rows))
+    _, nearest = tree.query(ipts * scale, k=1)
+    d = eval_norm(pol, ipts - bpts[nearest])  # an upper bound of the minimum
+    pairs = 0
+    for rows, cols in _ball_pairs(tree, ipts * scale, d * (1.0 + _SLACK) * widen):
+        np.minimum.at(d, rows, eval_norm(pol, ipts[rows] - bpts[cols]))
+        pairs += len(rows)
+    log.debug("distance_transform: nodes=%d ring=%d pairs=%d", len(ipts), len(bpts), pairs)
     out = np.zeros((grid.nx, grid.ny))
     out[grid.mask] = d
     k = int(np.argmax(d))
@@ -207,7 +218,7 @@ def sup_rayleigh(field: ScalarField, norm: NormSpec) -> float:
         raise ValueError("sup_rayleigh: zero field")
     grid = field.tri.grid
     pol = polar(norm)
-    scale, p = minkowski_frame(pol)
+    scale, widen = _euclidean_frame(pol)
     ipts = grid.node_points(np.argwhere(grid.mask))
     bpts = grid.node_points(grid.boundary_node_indices())
     pts = np.concatenate([ipts, bpts])
@@ -223,20 +234,20 @@ def sup_rayleigh(field: ScalarField, norm: NormSpec) -> float:
 
     # seed: pairs within three cells, and the peak node against its nearest
     # ring node, which keeps the bound positive for any nonzero field
-    near = cKDTree(spts).query_pairs(3.0 * grid.h * linear_bounds(pol)[1], p=p,
+    near = cKDTree(spts).query_pairs(3.0 * grid.h * linear_bounds(pol)[1] * widen,
                                      output_type="ndarray")
     top = int(np.argmax(np.abs(vals)))
     ring = len(ipts) + int(np.argmin(eval_norm(pol, bpts - pts[top])))
     lip_sq = max(ratio_sq(near[:, 0], near[:, 1]), ratio_sq(top, ring))
     examined = len(near) + 1
-    # a pair (i, j) with v_j >= a beats the bound L only if F_polar(x_i - x_j) < (v_i - a) / L
+    # a pair (i, j) with v_j >= m beats the bound L only if F_polar(x_i - x_j) < (v_i - m) / L
     for band in np.array_split(np.argsort(vals), min(_BANDS, len(vals))):
         low = vals[band[0]]
         src = np.flatnonzero(vals > low)
-        radius = (vals[src] - low) / np.sqrt(lip_sq) * (1.0 + _SLACK)
-        rows, cols = _ball_pairs(cKDTree(spts[band]), spts[src], radius, p)
-        lip_sq = max(lip_sq, ratio_sq(src[rows], band[cols]))
-        examined += len(rows)
+        radius = (vals[src] - low) / np.sqrt(lip_sq) * (1.0 + _SLACK) * widen
+        for rows, cols in _ball_pairs(cKDTree(spts[band]), spts[src], radius):
+            lip_sq = max(lip_sq, ratio_sq(src[rows], band[cols]))
+            examined += len(rows)
     log.debug("sup_rayleigh: nodes=%d ring=%d pairs=%d all_pairs=%d",
               len(pts), len(bpts), examined, len(pts) ** 2)
     return float(np.sqrt(lip_sq)) / peak
@@ -259,22 +270,26 @@ def eikonal_bulk_fraction(
     grid = field.grid
     h = grid.h
     pol = polar(norm)
-    scale, p = minkowski_frame(pol)
+    scale, widen = _euclidean_frame(pol)
     bpts = grid.node_points(grid.boundary_node_indices())
     inodes = np.argwhere(grid.mask)
     ipts = grid.node_points(inodes)
     dvals = field.d[grid.mask]
 
-    rows, cols = _ball_pairs(cKDTree(bpts * scale), ipts * scale, (dvals + h) * (1.0 + _SLACK), p)
-    near = eval_norm(pol, ipts[rows] - bpts[cols]) <= dvals[rows] + h
-    rows, cols = rows[near], cols[near]
     lo = np.full((len(ipts), 2), np.inf)
     hi = np.full((len(ipts), 2), -np.inf)
-    np.minimum.at(lo, rows, bpts[cols])
-    np.maximum.at(hi, rows, bpts[cols])
-    counts = np.bincount(rows, minlength=len(ipts))
+    counts = np.zeros(len(ipts), dtype=np.intp)
+    pairs = 0
+    tree = cKDTree(bpts * scale)
+    for rows, cols in _ball_pairs(tree, ipts * scale, (dvals + h) * (1.0 + _SLACK) * widen):
+        pairs += len(rows)
+        near = eval_norm(pol, ipts[rows] - bpts[cols]) <= dvals[rows] + h
+        rows, cols = rows[near], cols[near]
+        np.minimum.at(lo, rows, bpts[cols])
+        np.maximum.at(hi, rows, bpts[cols])
+        counts += np.bincount(rows, minlength=len(ipts))
     spread = np.where(counts > 1, np.hypot(hi[:, 0] - lo[:, 0], hi[:, 1] - lo[:, 1]), 0.0)
-    log.debug("eikonal_bulk_fraction: nodes=%d ring=%d pairs=%d", len(ipts), len(bpts), len(near))
+    log.debug("eikonal_bulk_fraction: nodes=%d ring=%d pairs=%d", len(ipts), len(bpts), pairs)
     ridge = np.zeros(grid.mask.shape, dtype=bool)
     ridge[grid.mask] = spread > ridge_spread * h
     bad_node = ridge | grid.boundary_adjacent() | ~grid.mask

@@ -33,7 +33,7 @@ from . import distance as _distance
 from .fem import (ScalarField, Triangulation, _mass_gradient_values, energy_from_terms, energy_p,
                   energy_terms, gradient_from_terms, mass_p, triangulate)
 from .geometry import _FOUR, DomainGrid, _check_keys, components
-from .norms import NormSpec, euclidean, polar_eval, power_hessian
+from .norms import NormSpec, _number, euclidean, polar_eval, power_hessian
 
 log = logging.getLogger(__name__)
 
@@ -141,8 +141,9 @@ class SolverOptions:
     def from_dict(d: dict) -> "SolverOptions":
         _check_keys("solver", d, (), ("max_iter", "tol"))
         opts = SolverOptions()
-        return SolverOptions(max_iter=int(d.get("max_iter", opts.max_iter)),
-                             tol=float(d.get("tol", opts.tol)))
+        return SolverOptions(
+            max_iter=_number("solver.max_iter", d.get("max_iter", opts.max_iter), integer=True),
+            tol=_number("solver.tol", d.get("tol", opts.tol)))
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -28,7 +28,7 @@ from .eigensolve import SolverOptions
 from .fem import triangulate
 from .geometry import (DomainGrid, ShapeSpec, _check_keys, _grid_frame, _numbers, measure,
                        rasterize, shape, wulff)
-from .norms import NormSpec, check_duality, norm_from_dict, wulff_measure
+from .norms import NormSpec, _number, check_duality, norm_from_dict, wulff_measure
 
 log = logging.getLogger("finsler_spectra")
 
@@ -85,10 +85,10 @@ class ExperimentConfig:
             experiment=d["experiment"],
             domain=ShapeSpec.from_dict(d["domain"]),
             norm=norm_from_dict(d["norm"]),
-            h=float(d["h"]),
+            h=_number("h", d["h"]),
             p_list=_numbers("p_list", d.get("p_list", [2.0])),
             solver=SolverOptions.from_dict(d.get("solver", {})),
-            tolerance=float(d.get("tolerance", DEFAULT_TOLERANCE)),
+            tolerance=_number("tolerance", d.get("tolerance", DEFAULT_TOLERANCE)),
             samples=d.get("samples", 100),
             out=d.get("out"),
         )

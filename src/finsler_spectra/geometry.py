@@ -15,7 +15,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 from scipy import ndimage
 
-from .norms import NormSpec, euclidean, linear_bounds, norm_from_dict, polar, polar_eval
+from .norms import NormSpec, _number, euclidean, linear_bounds, norm_from_dict, polar, polar_eval
 
 RECTANGLE = "rectangle"
 WULFF = "wulff"
@@ -112,10 +112,12 @@ class ShapePrimitive:
         _check_keys(f"{kind} primitive", d, ("type",) + _PRIMITIVE_KEYS[kind], ("mode",))
         mode = d.get("mode", "add")
         if kind == RECTANGLE:
-            return ShapePrimitive(kind, mode, x0=d["x0"], y0=d["y0"], x1=d["x1"], y1=d["y1"])
+            x0, y0, x1, y1 = (_number(f"{kind} primitive: {k}", d[k]) for k in _PRIMITIVE_KEYS[kind])
+            return ShapePrimitive(kind, mode, x0=x0, y0=y0, x1=x1, y1=y1)
         center = _numbers(f"{kind} primitive: center", d["center"], 2)
         norm = norm_from_dict(d["norm"]) if kind == WULFF else euclidean()
-        return ShapePrimitive(kind, mode, center=center, radius=float(d["radius"]), norm=norm)
+        radius = _number(f"{kind} primitive: radius", d["radius"])
+        return ShapePrimitive(kind, mode, center=center, radius=radius, norm=norm)
 
     def _margin_inside(self, px: np.ndarray, py: np.ndarray, m: float) -> np.ndarray:
         """Inside test shrunk (m > 0) or inflated (m < 0) by a Euclidean margin."""

@@ -69,6 +69,15 @@ _SPELLINGS = {
 }
 
 
+# here rather than beside geometry._numbers, since geometry imports this module
+def _number(where: str, x, integer: bool = False):
+    """A JSON number as a float (an int if integer); anything else, a bool or a
+    string included, raises a ValueError that names where."""
+    if isinstance(x, int if integer else (int, float)) and not isinstance(x, bool):
+        return int(x) if integer else float(x)
+    raise ValueError(f"{where} must be {'an integer' if integer else 'a number'}, got {x!r}")
+
+
 def norm_from_dict(d: dict) -> NormSpec:
     if not isinstance(d, dict):
         raise ValueError(f"norm must be a JSON object, got {d!r}")
@@ -79,7 +88,7 @@ def norm_from_dict(d: dict) -> NormSpec:
     if set(d) != {"family", *keys}:
         raise ValueError(f"norm family {family!r} takes the key(s) {list(keys)}, "
                          f"got {sorted(set(d) - {'family'})}")
-    return make(*(d[k] for k in keys))
+    return make(*(_number(f"norm {k}", d[k]) for k in keys))
 
 
 def _split(xi) -> Tuple[np.ndarray, np.ndarray, bool]:
@@ -121,9 +130,9 @@ def polar(norm: NormSpec) -> NormSpec:
     return NormSpec(q=norm.q / (norm.q - 1.0))
 
 
-def minkowski_frame(norm: NormSpec) -> Tuple[np.ndarray, float]:
-    """(scale, p) with F(x) = ||scale * x||_p, the frame of a Minkowski-metric KD-tree."""
-    return np.sqrt([norm.w1, norm.w2]), norm.q
+def minkowski_frame(norm: NormSpec) -> np.ndarray:
+    """The scale with F(x) = ||scale * x||_q, the coordinate frame of a KD-tree over F."""
+    return np.sqrt([norm.w1, norm.w2])
 
 
 def polar_eval(norm: NormSpec, x) -> np.ndarray:

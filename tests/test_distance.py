@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 import finsler_spectra as fs
+from finsler_spectra import distance
 from finsler_spectra.distance import (
     distance_transform,
     eikonal_bulk_fraction,
@@ -303,6 +305,51 @@ def test_kd_tree_kernels_equal_all_pairs_random_lq(q, dx, dy):
     h = 1.0 / 16
     grid = fs.rasterize(offset_lshape_spec(dx * h, dy * h), h)
     assert_exact(grid, fs.triangulate(grid), fs.lq_norm(q))
+
+
+# lq(1.5) has q' = 3 > 2, where the Euclidean tree radius widens by 1/a > 1
+BLOCK_NORMS = dict(ALL_NORMS, lq_polar_3=fs.lq_norm(1.5))
+
+
+@pytest.mark.parametrize("nname", sorted(BLOCK_NORMS))
+def test_kd_tree_kernels_equal_all_pairs_in_blocks(exact_grid, nname, monkeypatch):
+    # 7 divides neither interior node count, so the transform's queries end on a partial block
+    monkeypatch.setattr(distance, "_BLOCK", 7)
+    grid, tri = exact_grid
+    assert_exact(grid, tri, BLOCK_NORMS[nname])
+
+
+class _MetricSpy:
+    """A cKDTree that records the Minkowski p of every query made on it."""
+
+    P_POSITION = {"query": 3, "query_ball_point": 2, "query_pairs": 1}
+    seen = []
+
+    def __init__(self, data):
+        self._tree = cKDTree(data)
+
+    def __getattr__(self, name):
+        method = getattr(self._tree, name)
+
+        def call(*args, **kwargs):
+            at = self.P_POSITION[name]
+            self.seen.append((name, kwargs.get("p", args[at] if len(args) > at else 2.0)))
+            return method(*args, **kwargs)
+        return call
+
+
+def test_kd_tree_queries_use_the_euclidean_metric(monkeypatch):
+    # the fractional metric p = q' costs several times the Euclidean one per node visited
+    monkeypatch.setattr(distance, "cKDTree", _MetricSpy)
+    monkeypatch.setattr(_MetricSpy, "seen", [])
+    grid = fs.rasterize(offset_lshape_spec(), 1.0 / 16)
+    tri = fs.triangulate(grid)
+    for norm in (fs.lq_norm(3.0), fs.lq_norm(1.5), fs.weighted_quadratic(4.0, 1.0)):
+        df = distance_transform(grid, norm)
+        eikonal_bulk_fraction(df, norm, tri)
+        sup_rayleigh(df.as_field(tri), norm)
+    assert {name for name, _ in _MetricSpy.seen} == set(_MetricSpy.P_POSITION)
+    assert {p for _, p in _MetricSpy.seen} == {2.0}
 
 
 def test_distance_kernels_log_pairs_examined(caplog):

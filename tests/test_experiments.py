@@ -160,6 +160,24 @@ def test_config_rejects_bad_p_list_samples_and_tolerance(field, value, experimen
         ExperimentConfig.from_dict(_valid_config(experiment=experiment, **{field: value}))
 
 
+@pytest.mark.parametrize("raw, field", [
+    (_valid_config(h="0.0625"), "h must"),
+    (_valid_config(h=True), "h must"),
+    (_valid_config(tolerance="0.1"), "tolerance must"),
+    (_valid_config(solver={"max_iter": 2.5}), r"solver\.max_iter"),
+    (_valid_config(solver={"max_iter": "5"}), r"solver\.max_iter"),
+    (_valid_config(solver={"tol": "x"}), r"solver\.tol"),
+    (_valid_config(domain=[dict(square_domain()[0], x0="0")]), "x0"),
+    (_valid_config(domain=[{"type": "euclidean_disk", "center": [0.0, 0.0], "radius": "1"}]),
+     "radius"),
+    (_valid_config(norm={"family": "lq", "q": "3"}), "norm q"),
+    (_valid_config(norm={"family": "weighted_quadratic", "a1": True, "a2": 1.0}), "norm a1"),
+])
+def test_config_rejects_scalars_that_are_not_numbers(raw, field):
+    with pytest.raises(ValueError, match=field):
+        ExperimentConfig.from_dict(raw)
+
+
 def test_check_duality_rejects_a_norm_that_is_not_an_object():
     with pytest.raises(ValueError, match="norm"):
         cli.main(["check-duality", "--norm", '"euclidean"'])
