@@ -2,7 +2,6 @@
 
 from .norms import (
     NormSpec,
-    WulffShape,
     check_duality,
     euclidean,
     eval_norm,

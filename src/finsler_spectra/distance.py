@@ -52,9 +52,6 @@ class DistanceField:
     rho_f: float
     argmax_node: Tuple[int, int]
 
-    def interior_values(self) -> np.ndarray:
-        return self.d[self.grid.mask]
-
     def as_field(self, tri) -> ScalarField:
         return ScalarField.from_grid_array(tri, self.d)
 
@@ -65,7 +62,6 @@ class PackingResult:
 
     rho2: float
     centers: Tuple[Tuple[int, int], Tuple[int, int]]
-    norm: NormSpec
 
 
 def _euclidean_frame(pol: NormSpec):
@@ -197,7 +193,7 @@ def two_wulff_radius(field: DistanceField, norm: NormSpec) -> PackingResult:
     i, j = pair_best
     c1 = (int(inodes[i, 0]), int(inodes[i, 1]))
     c2 = (int(inodes[j, 0]), int(inodes[j, 1]))
-    return PackingResult(rho2=float(r_best), centers=(c1, c2), norm=norm)
+    return PackingResult(rho2=float(r_best), centers=(c1, c2))
 
 
 def sup_rayleigh(field: ScalarField, norm: NormSpec) -> float:
@@ -253,14 +249,8 @@ def sup_rayleigh(field: ScalarField, norm: NormSpec) -> float:
     return float(np.sqrt(lip_sq)) / peak
 
 
-def eikonal_bulk_fraction(
-    field: DistanceField,
-    norm: NormSpec,
-    tri,
-    grad_tol: float = 0.1,
-    ridge_spread: float = 3.0,
-) -> float:
-    """Fraction of off-ridge interior triangles with |F(grad d) - 1| <= grad_tol.
+def eikonal_bulk_fraction(field: DistanceField, norm: NormSpec, tri, ridge_spread: float = 3.0) -> float:
+    """Fraction of off-ridge interior triangles with |F(grad d) - 1| <= 0.1.
 
     A node is ridge-flagged when the near-minimizing boundary nodes (within
     one cell of optimal) spread over more than ridge_spread cells: there the
@@ -303,4 +293,4 @@ def eikonal_bulk_fraction(
         return 1.0
     grads = triangle_gradients(field.as_field(tri))
     f = eval_norm(norm, grads)
-    return float(np.mean(np.abs(f[good_tri] - 1.0) <= grad_tol))
+    return float(np.mean(np.abs(f[good_tri] - 1.0) <= 0.1))

@@ -192,13 +192,13 @@ def rayleigh_quotient(u: ScalarField, norm: NormSpec, p: float) -> float:
     return energy_p(u, norm, p) / m
 
 
-def nodal_domains(u: ScalarField, threshold: float = 1e-6) -> Tuple[int, np.ndarray]:
-    """Count 4-connected components of {u > t} and {u < -t}, t relative to max|u|.
+def nodal_domains(u: ScalarField) -> Tuple[int, np.ndarray]:
+    """Count 4-connected components of {u > t} and {u < -t}, t = 1e-6 max|u|.
 
     Returns (count, labels) with positive-domain labels first, 0 elsewhere.
     """
     arr = u.as_grid_array()
-    t = threshold * np.abs(arr).max(initial=0.0)
+    t = 1e-6 * np.abs(arr).max(initial=0.0)
     labels = np.zeros(arr.shape, dtype=np.int32)
     pos, npos = ndimage.label(arr > t, structure=_FOUR)
     neg, nneg = ndimage.label(arr < -t, structure=_FOUR)
@@ -565,8 +565,6 @@ def _greedy_refine(solver: _PartSolver, p1: np.ndarray, p2: np.ndarray):
         else:
             hi, lo, hi_is_first = p2, p1, False
         frontier = ndimage.binary_dilation(hi, structure=_FOUR) & solver.grid.mask & ~hi
-        if not frontier.any():
-            break
         new_hi = hi | frontier
         new_lo = lo & ~frontier
         if not new_lo.any():

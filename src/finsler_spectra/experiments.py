@@ -65,6 +65,8 @@ class ExperimentConfig:
             raise ValueError(f"tolerance must be finite and in [0, 1), got {self.tolerance!r}")
         if isinstance(self.samples, bool) or not isinstance(self.samples, int) or self.samples < 1:
             raise ValueError(f"samples must be an integer >= 1, got {self.samples!r}")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ValueError(f"out must be a path string or null, got {self.out!r}")
         _, nx, ny = _grid_frame(self.domain, self.h)  # rejects a frame above MAX_GRID_NODES
         # the reference shape a runner rasterizes at the same h: the unit Wulff shape, or
         # for hks one of half the domain's measure, bounded here by the frame's area
@@ -163,12 +165,6 @@ class Report:
 
 def unit_wulff_spec(norm: NormSpec, radius: float = 1.0) -> ShapeSpec:
     return shape(wulff((0.0, 0.0), radius, norm))
-
-
-def two_wulff_union_spec(norm: NormSpec, radius: float, separation_radii: float = 3.0) -> ShapeSpec:
-    """Two disjoint Wulff shapes on the x-axis, centers separation_radii*r apart."""
-    s = separation_radii * radius
-    return shape(wulff((0.0, 0.0), radius, norm), wulff((s, 0.0), radius, norm))
 
 
 def _solve(label: str, solve, grid: DomainGrid, cfg: ExperimentConfig, p: float):

@@ -118,9 +118,6 @@ class ScalarField:
         if self.values.shape != (self.tri.ndof,):
             raise ValueError("field values must match the dof count")
 
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.tri, self.values.copy())
-
     def as_grid_array(self) -> np.ndarray:
         out = np.zeros((self.tri.grid.nx, self.tri.grid.ny))
         out[self.tri.grid.mask] = self.values

@@ -48,12 +48,12 @@ def _check_keys(where: str, d, required: tuple, optional: tuple = ()) -> None:
 
 
 def _numbers(where: str, x, count: Optional[int] = None) -> Tuple[float, ...]:
-    """A JSON list of numbers (of count entries, if given) as floats; anything else
-    raises a ValueError that names where."""
+    """A JSON list of finite numbers (of count entries, if given) as floats; anything
+    else raises a ValueError that names where."""
     if (isinstance(x, list) and count in (None, len(x))
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in x)):
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) and np.isfinite(v) for v in x)):
         return tuple(float(v) for v in x)
-    want = "a JSON list of numbers" if count is None else f"{count} numbers"
+    want = "a JSON list of finite numbers" if count is None else f"{count} finite numbers"
     raise ValueError(f"{where} must be {want}, got {x!r}")
 
 
@@ -78,6 +78,9 @@ class ShapePrimitive:
             raise ValueError(f"unknown primitive mode {self.mode!r}")
         if self.kind != RECTANGLE and self.norm is None:
             raise ValueError(f"{self.kind} primitive needs a norm")
+        for k in ("x0", "y0", "x1", "y1") if self.kind == RECTANGLE else ("center",):
+            if not np.isfinite(getattr(self, k)).all():
+                raise ValueError(f"{self.kind} primitive: {k} must be finite, got {getattr(self, k)!r}")
         if self.kind == RECTANGLE:
             if not self.x1 > self.x0:
                 raise ValueError(f"rectangle needs x1 > x0, got x0={self.x0}, x1={self.x1}")
@@ -235,30 +238,30 @@ def _label(mask: np.ndarray) -> np.ndarray:
     return lab.astype(np.int32) - 1
 
 
-def _grid_frame(spec: ShapeSpec, h: float, pad: int = 2) -> Tuple[Tuple[float, float], int, int]:
-    """(origin, nx, ny) of the h-lattice frame around spec's bounding box,
-    checked against MAX_GRID_NODES before anything is allocated."""
+def _grid_frame(spec: ShapeSpec, h: float) -> Tuple[Tuple[float, float], int, int]:
+    """(origin, nx, ny) of the h-lattice frame around spec's bounding box with two
+    empty node rows on each side, checked against MAX_GRID_NODES before anything
+    is allocated."""
     if not 0.0 < h < np.inf:
         raise ValueError(f"cell size h must be finite and positive, got {h}")
     x0, y0, x1, y1 = spec.bbox()
-    lo = np.floor(np.divide((x0, y0), h))
-    hi = np.ceil(np.divide((x1, y1), h))
-    nx, ny = hi - lo + 2 * pad + 1
+    lo = np.floor(np.divide((x0, y0), h)) - 2
+    hi = np.ceil(np.divide((x1, y1), h)) + 2
+    nx, ny = hi - lo + 1
     if not nx * ny <= MAX_GRID_NODES:
         raise ValueError(f"h={h} gives a {nx:.0f} x {ny:.0f} node grid, "
                          f"above the limit of {MAX_GRID_NODES} nodes")
-    i0, j0 = int(lo[0]) - pad, int(lo[1]) - pad
-    return (i0 * h, j0 * h), int(nx), int(ny)
+    return (int(lo[0]) * h, int(lo[1]) * h), int(nx), int(ny)
 
 
-def rasterize(spec: ShapeSpec, h: float, pad: int = 2) -> DomainGrid:
+def rasterize(spec: ShapeSpec, h: float) -> DomainGrid:
     """Rasterize a shape spec onto the h-lattice.
 
     Deterministic for fixed (spec, h): the grid frame is snapped to integer
     multiples of h, and a node is interior iff it lies in the composed set
     with a half-cell margin (add primitives shrunk, subtracted ones grown).
     """
-    origin, nx, ny = _grid_frame(spec, h, pad)
+    origin, nx, ny = _grid_frame(spec, h)
     px = origin[0] + h * np.arange(nx)[:, None] + np.zeros((1, ny))
     py = origin[1] + h * np.arange(ny)[None, :] + np.zeros((nx, 1))
     m = 0.5 * h

@@ -202,11 +202,11 @@ def test_criterion_07_two_nodal_domains(square_128):
     counts = {}
     tri_sq = fs.triangulate(square_128)
     b = fs.solve_lambda2(square_128, fs.euclidean(), 2.0)
-    counts["square"] = fs.nodal_domains(b.signed_field(tri_sq), 1e-6)[0]
+    counts["square"] = fs.nodal_domains(b.signed_field(tri_sq))[0]
     disk = fs.rasterize(fs.shape(fs.euclidean_disk((0.0, 0.0), 1.0)), 1.0 / 128)
     tri_d = fs.triangulate(disk)
     bd = fs.solve_lambda2(disk, fs.euclidean(), 2.0)
-    counts["disk"] = fs.nodal_domains(bd.signed_field(tri_d), 1e-6)[0]
+    counts["disk"] = fs.nodal_domains(bd.signed_field(tri_d))[0]
     ok = counts == {"square": 2, "disk": 2}
     assert report_line("07 two nodal domains", ok, f"counts {counts}")
     assert ok
@@ -219,7 +219,7 @@ def test_criterion_08_distance_identities():
     rho, _ = inradius(df)
     tri = fs.triangulate(grid)
     identity = sup_rayleigh(df.as_field(tri), fs.euclidean()) * rho
-    frac = eikonal_bulk_fraction(df, fs.euclidean(), tri, grad_tol=0.1)
+    frac = eikonal_bulk_fraction(df, fs.euclidean(), tri)
     rho2 = two_wulff_radius(df, fs.euclidean()).rho2
 
     grid32 = fs.rasterize(unit_square_spec(), 1.0 / 32)

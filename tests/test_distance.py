@@ -227,16 +227,35 @@ def test_distance_monotone_under_inclusion():
 
 def test_hks_at_infinity():
     # rho2 of any set is at most rho2 of two equal-measure Wulff shapes
-    from finsler_spectra.experiments import two_wulff_union_spec
     h = 1.0 / 32
     norm = fs.euclidean()
     grid = fs.rasterize(unit_square_spec(), h)
     df = distance_transform(grid, norm)
     rho2 = two_wulff_radius(df, norm).rho2
     radius = float(np.sqrt(0.5 * fs.measure(grid) / fs.wulff_measure(norm)))
-    ref = fs.rasterize(two_wulff_union_spec(norm, radius), h)
+    # two disjoint Wulff shapes on the x-axis, centers three radii apart
+    ref = fs.rasterize(fs.shape(fs.wulff((0.0, 0.0), radius, norm),
+                                fs.wulff((3.0 * radius, 0.0), radius, norm)), h)
     ref_rho2 = two_wulff_radius(distance_transform(ref, norm), norm).rho2
     assert rho2 <= ref_rho2 + 2 * h
+
+
+@pytest.mark.parametrize("norm", [fs.euclidean(), fs.lq_norm(3.0)], ids=["euclidean", "lq3"])
+def test_packing_on_collinear_nodes_takes_all_pairs(norm):
+    # a one-row strip: more nodes than _PAIRWISE_DIRECT, all on one line, so
+    # the convex hull fails and the polar diameter falls back to all pairs
+    from scipy.spatial import ConvexHull, QhullError
+
+    h = 1.0 / 64
+    grid = fs.rasterize(fs.shape(fs.rectangle(0.0, -h, 10.0, h)), h)
+    pts = grid.node_points(np.argwhere(grid.mask))
+    assert len(pts) == 639 > distance._PAIRWISE_DIRECT
+    with pytest.raises(QhullError):
+        ConvexHull(pts)
+    diam, (i, j) = distance._polar_diameter(fs.polar(norm), pts)
+    assert diam == pytest.approx(638 * h, rel=1e-12) and {i, j} == {0, 638}
+    df = distance_transform(grid, norm)
+    assert two_wulff_radius(df, norm).rho2 == brute_force_two_wulff(grid, norm, df.d)
 
 
 def test_two_wulff_needs_two_nodes():
@@ -292,7 +311,7 @@ def test_kd_tree_kernels_equal_all_pairs(exact_grid, nname):
         assert sup_rayleigh(u, norm) == brute_force_sup_rayleigh(u, norm)
     # fields that vanish on a band along the boundary: no seed pair that
     # touches the ring carries a nonzero quotient
-    d = df.interior_values()
+    d = df.d[grid.mask]
     for vals in (np.maximum(d - 0.4 * df.rho_f, 0.0) * rng.uniform(0.5, 1.5, tri.ndof),
                  -(d > 0.6 * df.rho_f).astype(float)):
         u = ScalarField(tri, vals)

@@ -380,17 +380,89 @@ def test_lambda2_drops_nodal_candidate_when_oracle_fails(monkeypatch, caplog):
                for r in caplog.records)
 
 
-class _TiedParts:
-    """A part solver whose first two parts have lambda_1 equal up to ``ratio``;
-    every grown pair is worse, so the interface search stops after one sweep."""
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_lambda1_stage_at_max_iter_raises_naming_p_dofs_and_residual(caplog, p):
+    grid = fs.rasterize(unit_square_spec(), 1.0 / 8)
+    with caplog.at_level(logging.DEBUG, logger="finsler_spectra.eigensolve"):
+        with pytest.raises(fs.ConvergenceError) as err:
+            fs.solve_lambda1(grid, fs.euclidean(), p, SolverOptions(max_iter=1))
+    stage = re.compile(rf"newton stage p={p:g} dofs=49 steps=1 .* stop=maxiter residual=(\S+)$")
+    (last,) = [m for m in map(stage.match, (r.getMessage() for r in caplog.records)) if m]
+    residual = float(last[1])
+    assert residual > 1e-8
+    assert str(err.value) == (f"lambda_1 solve did not converge: p={p}, dofs=49, "
+                              f"residual={residual:.2e} after 1 iterations")
 
-    def __init__(self, grid, ratio):
-        self.grid, self.ratio, self.masks = grid, ratio, []
+
+def _fail_on_masks(monkeypatch, masks):
+    """Make every lambda_1 solve on one of masks raise ConvergenceError."""
+    from finsler_spectra import eigensolve
+
+    solve = eigensolve.solve_lambda1
+
+    def failing(grid, *args, **kwargs):
+        if any(np.array_equal(grid.mask, m) for m in masks):
+            raise fs.ConvergenceError("lambda_1 solve did not converge")
+        return solve(grid, *args, **kwargs)
+
+    monkeypatch.setattr(eigensolve, "solve_lambda1", failing)
+
+
+def test_lambda2_drops_a_candidate_whose_refinement_raises(monkeypatch, caplog):
+    from finsler_spectra import eigensolve
+
+    grid = fs.rasterize(unit_square_spec(), 1.0 / 12)
+    norm = fs.euclidean()
+    nodal, packing = eigensolve._split_candidates(grid, norm)
+    expected = eigensolve._greedy_refine(eigensolve._PartSolver(grid, norm, 2.0, SolverOptions()),
+                                         *packing)[0]
+    _fail_on_masks(monkeypatch, [nodal[0]])
+    with caplog.at_level("WARNING", logger="finsler_spectra.eigensolve"):
+        b = fs.solve_lambda2(grid, norm, 2.0)
+    assert b.lambda2 == expected
+    (dropped,) = [r.getMessage() for r in caplog.records]
+    assert dropped.startswith("bipartition candidate dropped: ConvergenceError")
+
+
+def test_lambda2_raises_when_every_candidate_raises(monkeypatch, caplog):
+    from finsler_spectra import eigensolve
+
+    grid = fs.rasterize(unit_square_spec(), 1.0 / 12)
+    norm = fs.euclidean()
+    _fail_on_masks(monkeypatch, [p1 for p1, _ in eigensolve._split_candidates(grid, norm)])
+    with caplog.at_level("WARNING", logger="finsler_spectra.eigensolve"):
+        with pytest.raises(fs.ConvergenceError, match="no admissible bipartition candidate was found"):
+            fs.solve_lambda2(grid, norm, 2.0)
+    assert [r.getMessage().split(":")[0] for r in caplog.records] == ["bipartition candidate dropped"] * 2
+
+
+class _ScriptedParts:
+    """A part solver that returns the scripted lambda_1 values in call order and
+    raises ConvergenceError when the script runs out."""
+
+    def __init__(self, grid, lams):
+        self.grid, self.lams, self.masks = grid, list(lams), []
 
     def solve(self, mask, warm=None):
         self.masks.append(mask)
-        lam = {1: 10.0, 2: 10.0 * self.ratio}.get(len(self.masks), 20.0)
-        return SimpleNamespace(lam=lam, u=SimpleNamespace(as_grid_array=lambda: np.zeros(mask.shape)))
+        if len(self.masks) > len(self.lams):
+            raise fs.ConvergenceError("lambda_1 solve did not converge")
+        return SimpleNamespace(lam=self.lams[len(self.masks) - 1],
+                               u=SimpleNamespace(as_grid_array=lambda: np.zeros(mask.shape)))
+
+
+def test_interface_search_stops_at_its_best_when_a_part_solve_raises():
+    # the first sweep improves 10 -> 9; the second sweep's second part solve raises
+    from finsler_spectra import eigensolve
+
+    grid = fs.rasterize(unit_square_spec(), 1.0 / 8)
+    p1 = grid.mask.copy()
+    p1[grid.mask.shape[0] // 2:] = False
+    solver = _ScriptedParts(grid, [10.0, 8.0, 9.0, 9.0, 8.5])
+    val, q1, q2, r1, r2 = eigensolve._greedy_refine(solver, p1, grid.mask & ~p1)
+    assert len(solver.masks) == 6
+    assert val == 9.0 and (r1.lam, r2.lam) == (9.0, 9.0)
+    assert q1 is solver.masks[2] and q2 is solver.masks[3]
 
 
 @pytest.mark.parametrize("ratio", [1.0 + 1e-15, 1.0 - 1e-15])
@@ -401,7 +473,9 @@ def test_interface_search_grows_the_first_part_on_a_tie(ratio):
     p1 = grid.mask.copy()
     p1[grid.mask.shape[0] // 2:] = False
     p2 = grid.mask & ~p1
-    solver = _TiedParts(grid, ratio)
+    # the first two parts have lambda_1 equal up to ratio; the grown pair is worse,
+    # so the interface search stops after one sweep
+    solver = _ScriptedParts(grid, [10.0, 10.0 * ratio, 20.0, 20.0])
     val, *_ = eigensolve._greedy_refine(solver, p1, p2)
     grown = p1 | (ndimage.binary_dilation(p1, structure=eigensolve._FOUR) & grid.mask)
     assert len(solver.masks) == 4 and val == max(10.0, 10.0 * ratio)

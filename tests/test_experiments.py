@@ -172,10 +172,22 @@ def test_config_rejects_bad_p_list_samples_and_tolerance(field, value, experimen
      "radius"),
     (_valid_config(norm={"family": "lq", "q": "3"}), "norm q"),
     (_valid_config(norm={"family": "weighted_quadratic", "a1": True, "a2": 1.0}), "norm a1"),
+    # json.load reads NaN, Infinity and -Infinity as these floats
+    (_valid_config(norm={"family": "lq", "q": float("inf")}), "norm q must be finite"),
+    (_valid_config(domain=[{"type": "euclidean_disk", "center": [float("nan"), 0.0], "radius": 0.5}]),
+     "center must be"),
+    (_valid_config(domain=[dict(square_domain()[0], x0=float("-inf"))]), "x0 must be finite"),
 ])
 def test_config_rejects_scalars_that_are_not_numbers(raw, field):
     with pytest.raises(ValueError, match=field):
         ExperimentConfig.from_dict(raw)
+
+
+@pytest.mark.parametrize("out", [5, ["a"]])
+def test_config_rejects_an_out_that_is_not_a_string(out):
+    with pytest.raises(ValueError, match="out must be"):
+        ExperimentConfig.from_dict(_valid_config(out=out))
+    assert ExperimentConfig.from_dict(_valid_config(out="report.json")).out == "report.json"
 
 
 def test_check_duality_rejects_a_norm_that_is_not_an_object():

@@ -143,6 +143,17 @@ def test_disk_and_wulff_reject_bad_radius(radius):
         fs.wulff((0.0, 0.0), radius, fs.euclidean())
 
 
+@pytest.mark.parametrize("make, field", [
+    (lambda: fs.rectangle(-np.inf, 0.0, 1.0, 1.0), "x0"),
+    (lambda: fs.rectangle(0.0, 0.0, 1.0, np.nan), "y1"),
+    (lambda: fs.euclidean_disk((np.nan, 0.0), 1.0), "center"),
+    (lambda: fs.wulff((0.0, np.inf), 1.0, fs.lq_norm(3.0)), "center"),
+])
+def test_primitives_reject_non_finite_corners_and_centers(make, field):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        make()
+
+
 def test_rectangle_rejects_inverted_corners():
     with pytest.raises(ValueError, match="x1 > x0"):
         fs.rectangle(1.0, 0.0, 0.0, 1.0)

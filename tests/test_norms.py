@@ -138,15 +138,6 @@ def test_wulff_measure_against_grid_count():
             assert err < 20.0 * half ** 2 / n
 
 
-def test_wulff_shape_membership_and_measure():
-    w = fs.WulffShape((1.0, -2.0), 2.0, fs.weighted_quadratic(4, 1))
-    assert w.contains((1.0, -2.0))
-    # ellipse {x^2/4 + y^2 < 1} scaled by 2 around the center
-    assert w.contains((1.0 + 3.9, -2.0))
-    assert not w.contains((1.0 + 4.1, -2.0))
-    assert w.measure() == pytest.approx(2 * np.pi * 4.0, rel=1e-8)
-
-
 def test_check_duality_thresholds():
     assert fs.check_duality(fs.euclidean(), 100).max_residual <= 1e-10
     assert fs.check_duality(fs.weighted_quadratic(4, 1), 100).max_residual <= 1e-8
