@@ -3,26 +3,27 @@
 The distance of an interior node x is min over boundary-ring nodes y of
 F_polar(x - y).  Every polar norm is an l_q' norm after a coordinate scale,
 F_polar(x) = ||x / sqrt(w)||_q' with q' = q/(q-1) (`norms.minkowski_frame`),
-and ||z||_q' >= a|z| with a = min(1, 2^(1/q' - 1/2)).  So a Euclidean
-`scipy.spatial.cKDTree` over the scaled ring nodes, far cheaper than its
-metric p = q', selects candidates in blocks of _BLOCK nodes: those within
-(1 + _SLACK) r/a, r the polar distance to the Euclidean-nearest ring node.
-The minimum of `eval_norm` over them is bit-identical to the all-pairs
-minimum, as the true minimizer is among them.  The eikonal check selects its
-near-minimizers the same way.
+and ||z||_q' >= a|z| with a = min(1, 2^(1/q' - 1/2)).  So Euclidean
+`scipy.spatial.cKDTree` passes over the scaled nodes, far cheaper than the
+metric p = q', select the ring nodes within (1 + _SLACK) r/a as candidates,
+r the polar distance to the Euclidean-nearest ring node: one dual-tree pass
+per block of _BLOCK nodes in order of r, at the block's largest radius, cut
+to each node's own.  The minimum of `eval_norm` over them is bit-identical to
+the all-pairs minimum, as the true minimizer is among them.  The eikonal
+check selects its near-minimizers the same way.
 
 `sup_rayleigh` maximizes a quotient over all node pairs by branch and bound:
 a lower bound L comes from short pairs, the nodes are split into value
 bands, and a pair (i, j) with j in a band of minimum value m can only beat
-L if F_polar(x_i - x_j) < (v_i - m) / L.  Only the pairs inside those radii
-(times 1/a in the tree) are scored, with the all-pairs expression, so the
-maximum is exact.
+L if F_polar(x_i - x_j) < (v_i - m) / L.  Each value-ordered block of nodes
+meets each band in one such pass; only the pairs inside those radii (times
+1/a in the tree) are scored, with the all-pairs expression, so the maximum
+is exact.
 """
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import chain
 from typing import Tuple
 
 import numpy as np
@@ -35,7 +36,7 @@ from .norms import NormSpec, eval_norm, eval_norm_sq, linear_bounds, minkowski_f
 log = logging.getLogger(__name__)
 
 _CHUNK = 2048           # rows per block of the pairwise polar diameter
-_BLOCK = 2048           # query points per block of a ball query
+_BLOCK = 512            # nodes per dual-tree pass; bounds the candidate pairs held at once
 _PAIRWISE_DIRECT = 600  # below this many points skip the hull
 # relative widening of tree radii, far above the rounding gap between the
 # tree's distances and eval_norm, so no exact candidate is lost
@@ -69,14 +70,22 @@ def _euclidean_frame(pol: NormSpec):
     return minkowski_frame(pol), 1.0 / linear_bounds(NormSpec(q=pol.q))[0]
 
 
+def _within(source: cKDTree, target: cKDTree, reach: np.ndarray):
+    """(i, j) index arrays of the source and target points within Euclidean
+    distance reach[i]: one dual-tree pass at max(reach), then filtered per row."""
+    near = source.sparse_distance_matrix(target, reach.max(), output_type="ndarray")
+    keep = near["v"] <= reach[near["i"]]
+    return near["i"][keep], near["j"][keep]
+
+
 def _ball_pairs(tree: cKDTree, pts: np.ndarray, radius: np.ndarray):
-    """Per block of _BLOCK query points, the (row, col) index arrays of the tree
-    points within Euclidean distance radius[row] of pts[row]."""
+    """Per block of _BLOCK query points in order of radius, the (row, col) index
+    arrays of the tree points within Euclidean distance radius[row] of pts[row]."""
+    order = np.argsort(radius)
     for lo in range(0, len(pts), _BLOCK):
-        lists = tree.query_ball_point(pts[lo:lo + _BLOCK], radius[lo:lo + _BLOCK], return_sorted=False)
-        rows = np.repeat(np.arange(lo, lo + len(lists)), [len(ls) for ls in lists])
-        cols = np.fromiter(chain.from_iterable(lists), dtype=np.intp, count=len(rows))
-        yield rows, cols
+        rows = order[lo:lo + _BLOCK]
+        i, j = _within(cKDTree(pts[rows]), tree, radius[rows])
+        yield rows[i], j
 
 
 def distance_transform(grid: DomainGrid, norm: NormSpec) -> DistanceField:
@@ -237,13 +246,17 @@ def sup_rayleigh(field: ScalarField, norm: NormSpec) -> float:
     lip_sq = max(ratio_sq(near[:, 0], near[:, 1]), ratio_sq(top, ring))
     examined = len(near) + 1
     # a pair (i, j) with v_j >= m beats the bound L only if F_polar(x_i - x_j) < (v_i - m) / L
-    for band in np.array_split(np.argsort(vals), min(_BANDS, len(vals))):
+    order = np.argsort(vals)
+    blocks = [(rows, cKDTree(spts[rows])) for rows in np.split(order, range(_BLOCK, len(order), _BLOCK))]
+    for band in np.array_split(order, min(_BANDS, len(vals))):
         low = vals[band[0]]
-        src = np.flatnonzero(vals > low)
-        radius = (vals[src] - low) / np.sqrt(lip_sq) * (1.0 + _SLACK) * widen
-        for rows, cols in _ball_pairs(cKDTree(spts[band]), spts[src], radius):
-            lip_sq = max(lip_sq, ratio_sq(src[rows], band[cols]))
-            examined += len(rows)
+        target = cKDTree(spts[band])
+        for rows, source in blocks:
+            if vals[rows[-1]] > low:
+                reach = (vals[rows] - low) / np.sqrt(lip_sq) * (1.0 + _SLACK) * widen
+                i, j = _within(source, target, np.where(reach > 0.0, reach, -1.0))  # rows at v_i = m cannot win
+                lip_sq = max(lip_sq, ratio_sq(rows[i], band[j]))
+                examined += len(i)
     log.debug("sup_rayleigh: nodes=%d ring=%d pairs=%d all_pairs=%d",
               len(pts), len(bpts), examined, len(pts) ** 2)
     return float(np.sqrt(lip_sq)) / peak
@@ -266,8 +279,8 @@ def eikonal_bulk_fraction(field: DistanceField, norm: NormSpec, tri, ridge_sprea
     ipts = grid.node_points(inodes)
     dvals = field.d[grid.mask]
 
-    lo = np.full((len(ipts), 2), np.inf)
-    hi = np.full((len(ipts), 2), -np.inf)
+    lo = np.full((2, len(ipts)), np.inf)   # per coordinate: 1-D ufunc.at is far cheaper than 2-D
+    hi = np.full((2, len(ipts)), -np.inf)
     counts = np.zeros(len(ipts), dtype=np.intp)
     pairs = 0
     tree = cKDTree(bpts * scale)
@@ -275,10 +288,11 @@ def eikonal_bulk_fraction(field: DistanceField, norm: NormSpec, tri, ridge_sprea
         pairs += len(rows)
         near = eval_norm(pol, ipts[rows] - bpts[cols]) <= dvals[rows] + h
         rows, cols = rows[near], cols[near]
-        np.minimum.at(lo, rows, bpts[cols])
-        np.maximum.at(hi, rows, bpts[cols])
+        for k in range(2):
+            np.minimum.at(lo[k], rows, bpts[cols, k])
+            np.maximum.at(hi[k], rows, bpts[cols, k])
         counts += np.bincount(rows, minlength=len(ipts))
-    spread = np.where(counts > 1, np.hypot(hi[:, 0] - lo[:, 0], hi[:, 1] - lo[:, 1]), 0.0)
+    spread = np.where(counts > 1, np.hypot(*(hi - lo)), 0.0)
     log.debug("eikonal_bulk_fraction: nodes=%d ring=%d pairs=%d", len(ipts), len(bpts), pairs)
     ridge = np.zeros(grid.mask.shape, dtype=bool)
     ridge[grid.mask] = spread > ridge_spread * h

@@ -50,9 +50,8 @@ def _check_keys(where: str, d, required: tuple, optional: tuple = ()) -> None:
 def _numbers(where: str, x, count: Optional[int] = None) -> Tuple[float, ...]:
     """A JSON list of finite numbers (of count entries, if given) as floats; anything
     else raises a ValueError that names where."""
-    if (isinstance(x, list) and count in (None, len(x))
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) and np.isfinite(v) for v in x)):
-        return tuple(float(v) for v in x)
+    if isinstance(x, list) and count in (None, len(x)):
+        return tuple(_number(where, v) for v in x)
     want = "a JSON list of finite numbers" if count is None else f"{count} finite numbers"
     raise ValueError(f"{where} must be {want}, got {x!r}")
 

@@ -9,6 +9,7 @@ w = (1, 1), q = 2; ``weighted_quadratic(a1, a2)`` is w = (a1, a2), q = 2;
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -71,12 +72,12 @@ _SPELLINGS = {
 
 # here rather than beside geometry._numbers, since geometry imports this module
 def _number(where: str, x, integer: bool = False):
-    """A JSON number as a float (an int if integer); anything else, a bool, a
-    string, NaN or an infinity included, raises a ValueError that names where."""
+    """A JSON number as a float (an int if integer); anything else, a bool, a string,
+    NaN, an infinity or an int beyond float range included, raises a ValueError naming where."""
     if isinstance(x, int if integer else (int, float)) and not isinstance(x, bool):
-        if integer or math.isfinite(x):
+        if integer or abs(x) <= sys.float_info.max:  # False for NaN; exact for any int
             return int(x) if integer else float(x)
-        raise ValueError(f"{where} must be finite, got {x!r}")
+        raise ValueError(f"{where} must be finite as a float, got {x!r}")
     raise ValueError(f"{where} must be {'an integer' if integer else 'a number'}, got {x!r}")
 
 

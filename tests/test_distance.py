@@ -338,10 +338,52 @@ def test_kd_tree_kernels_equal_all_pairs_in_blocks(exact_grid, nname, monkeypatc
     assert_exact(grid, tri, BLOCK_NORMS[nname])
 
 
-class _MetricSpy:
-    """A cKDTree that records the Minkowski p of every query made on it."""
+def test_ball_pairs_equal_brute_force_in_blocks(monkeypatch):
+    # lattice points, so many pairs lie exactly at their row's radius (3-4-5 among
+    # them), and radius 0 keeps only a coincident tree point
+    monkeypatch.setattr(distance, "_BLOCK", 7)
+    rng = np.random.default_rng(3)
+    tree_pts = rng.integers(0, 9, size=(60, 2)).astype(float)
+    pts = np.concatenate([rng.integers(0, 9, size=(40, 2)), tree_pts[:5]]).astype(float)
+    radius = rng.choice([0.0, 1.0, 2.0, 2.5, 5.0], size=len(pts))
+    radius[-5:] = 0.0
+    dist = np.sqrt(((pts[:, None, :] - tree_pts[None, :, :]) ** 2).sum(axis=-1))
+    assert (dist == radius[:, None]).sum() > len(pts)
+    want = set(zip(*np.nonzero(dist <= radius[:, None])))
+    got = []
+    for rows, cols in distance._ball_pairs(cKDTree(tree_pts), pts, radius):
+        assert len(np.unique(rows)) <= 7
+        got += zip(rows, cols)
+    assert len(got) == len(set(got))
+    assert set(got) == want
 
-    P_POSITION = {"query": 3, "query_ball_point": 2, "query_pairs": 1}
+
+@pytest.mark.parametrize("norm", [fs.euclidean(), fs.lq_norm(1.5)], ids=["euclidean", "lq_1.5"])
+def test_sup_rayleigh_equals_all_pairs_with_blocks_across_band_edges(norm, monkeypatch):
+    # 5-node source blocks do not line up with the edges of the value bands
+    monkeypatch.setattr(distance, "_BLOCK", 5)
+    grid = fs.rasterize(offset_lshape_spec(), 1.0 / 32)
+    tri = fs.triangulate(grid)
+    df = distance_transform(grid, norm)
+    pts = grid.node_points(np.argwhere(grid.mask))
+
+    def cone(apex, radius):
+        return np.maximum(radius - fs.polar_eval(norm, pts - apex), 0.0)
+    # two off-lattice polar cones of opposite sign in different arms: the
+    # steepest quotients sit on long chords along the positive one's rays, so
+    # the short seed pairs miss them and the band passes must find them
+    apex = grid.node_points(np.asarray(df.argmax_node)) + np.array([0.31, 0.17]) * grid.h
+    signed = cone(apex, 0.8 * df.rho_f) - 0.5 * cone(np.array([0.7617, 0.2383]), 0.18)
+    for vals in (df.d[grid.mask], signed):
+        u = ScalarField(tri, vals)
+        assert sup_rayleigh(u, norm) == brute_force_sup_rayleigh(u, norm)
+
+
+class _MetricSpy:
+    """A cKDTree that records the Minkowski p of every query made on it; the
+    other tree of a dual-tree query is passed through unwrapped."""
+
+    P_POSITION = {"query": 3, "query_pairs": 1, "sparse_distance_matrix": 2}
     seen = []
 
     def __init__(self, data):
@@ -353,6 +395,7 @@ class _MetricSpy:
         def call(*args, **kwargs):
             at = self.P_POSITION[name]
             self.seen.append((name, kwargs.get("p", args[at] if len(args) > at else 2.0)))
+            args = [a._tree if isinstance(a, _MetricSpy) else a for a in args]
             return method(*args, **kwargs)
         return call
 

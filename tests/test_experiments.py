@@ -183,6 +183,21 @@ def test_config_rejects_scalars_that_are_not_numbers(raw, field):
         ExperimentConfig.from_dict(raw)
 
 
+# json.load reads an integer of any size; this one is beyond float range
+_HUGE = json.loads("1" + "0" * 400)
+
+
+@pytest.mark.parametrize("raw, field", [
+    (_valid_config(h=_HUGE), "h must be finite"),
+    (_valid_config(p_list=[2.0, _HUGE]), "p_list must be finite"),
+    (_valid_config(domain=[dict(square_domain()[0], x1=_HUGE)]), "x1 must be finite"),
+    (_valid_config(norm={"family": "lq", "q": _HUGE}), "norm q must be finite"),
+])
+def test_config_rejects_integers_beyond_float_range(raw, field):
+    with pytest.raises(ValueError, match=field):
+        ExperimentConfig.from_dict(raw)
+
+
 @pytest.mark.parametrize("out", [5, ["a"]])
 def test_config_rejects_an_out_that_is_not_a_string(out):
     with pytest.raises(ValueError, match="out must be"):
