@@ -22,6 +22,7 @@ is exact.
 """
 from __future__ import annotations
 
+import bisect
 import logging
 from dataclasses import dataclass
 from typing import Tuple
@@ -35,13 +36,12 @@ from .norms import NormSpec, eval_norm, eval_norm_sq, linear_bounds, minkowski_f
 
 log = logging.getLogger(__name__)
 
-_CHUNK = 2048           # rows per block of the pairwise polar diameter
 _BLOCK = 512            # nodes per dual-tree pass; bounds the candidate pairs held at once
-_PAIRWISE_DIRECT = 600  # below this many points skip the hull
 # relative widening of tree radii, far above the rounding gap between the
 # tree's distances and eval_norm, so no exact candidate is lost
 _SLACK = 1e-9
 _BANDS = 24             # value-quantile bands of the sup-Rayleigh bound
+_RIDGE_SPREAD = 3.0     # cells of near-minimizer spread that flag a ridge node in the eikonal check
 
 
 @dataclass(frozen=True)
@@ -120,47 +120,30 @@ def inradius(field: DistanceField) -> Tuple[float, Tuple[int, int]]:
     return field.rho_f, field.argmax_node
 
 
-def _pairwise_polar_max(pol: NormSpec, pts: np.ndarray):
-    best = -1.0
-    pair = (0, 0)
-    chunk = max(1, min(_CHUNK, 4_000_000 // max(len(pts), 1)))
-    for lo in range(0, len(pts), chunk):
-        hi = min(lo + chunk, len(pts))
-        diff = pts[lo:hi, None, :] - pts[None, :, :]
-        vals = eval_norm(pol, diff)
-        k = int(np.argmax(vals))
-        i, j = divmod(k, vals.shape[1])
-        if vals[i, j] > best:
-            best = float(vals[i, j])
-            pair = (lo + i, j)
-    return best, pair
-
-
 def _polar_diameter(pol: NormSpec, pts: np.ndarray):
-    """Max of F_polar(x - y) over point pairs; exact via the convex hull.
+    """Max of F_polar(x - y) over point pairs, and the first maximal pair in node order.
 
-    F_polar(x - y) is jointly convex, so the maximum over the set is attained
-    at extreme points; small or degenerate sets fall back to direct pairs.
+    F_polar(x - y) is jointly convex, so the maximum is attained at extreme
+    points: the convex hull's vertices, or the lexicographically first and
+    last point where Qhull finds no hull (fewer than three points, or all on
+    one line).
     """
-    if len(pts) <= _PAIRWISE_DIRECT:
-        return _pairwise_polar_max(pol, pts)
     try:
-        hull = ConvexHull(pts)
-        verts = hull.vertices
+        ext = np.sort(ConvexHull(pts).vertices)
     except QhullError:
-        best, (i, j) = _pairwise_polar_max(pol, pts)
-        return best, (i, j)
-    sub = pts[verts]
-    best, (i, j) = _pairwise_polar_max(pol, sub)
-    return best, (int(verts[i]), int(verts[j]))
+        ext = np.sort(np.lexsort(pts.T[::-1])[[0, -1]])
+    vals = eval_norm(pol, pts[ext, None, :] - pts[None, ext, :])
+    i, j = divmod(int(np.argmax(vals)), len(ext))
+    return float(vals[i, j]), (int(ext[i]), int(ext[j]))
 
 
 def two_wulff_radius(field: DistanceField, norm: NormSpec) -> PackingResult:
     """max over node pairs of min(d(x1), d(x2), F_polar(x1 - x2) / 2).
 
-    Feasibility of a radius r means the super-level set {d >= r} contains a
-    pair at polar distance >= 2r; that is monotone in r, so a binary search
-    over the distinct node distances is exact at grid resolution.
+    A radius r is feasible when the super-level set {d >= r} contains a pair
+    at polar distance >= 2r; that is monotone in r, so one bisection over the
+    distinct node distances finds the first infeasible level k, and the
+    maximum is at level k - 1 or k (ties to k - 1), exact at grid resolution.
     """
     grid = field.grid
     if grid.interior_count < 2:
@@ -179,27 +162,12 @@ def two_wulff_radius(field: DistanceField, norm: NormSpec) -> PackingResult:
         idx = np.flatnonzero(sel)
         return 0.5 * diam, (idx[i], idx[j])
 
-    lo, hi = 0, len(levels) - 1
-    g0, pair0 = half_diam(levels[0])
-    if g0 < levels[0]:
-        # even the full node set cannot separate two balls of the smallest level
-        r_best, pair_best = g0, pair0
-    else:
-        while lo < hi:  # invariant: levels[lo] feasible, search the last feasible
-            mid = (lo + hi + 1) // 2
-            g, _ = half_diam(levels[mid])
-            if g >= levels[mid]:
-                lo = mid
-            else:
-                hi = mid - 1
-        g, pair = half_diam(levels[lo])
-        r_best, pair_best = min(levels[lo], g), pair
-        if lo + 1 < len(levels):
-            g2, pair2 = half_diam(levels[lo + 1])
-            val2 = min(levels[lo + 1], g2)
-            if val2 > r_best:
-                r_best, pair_best = val2, pair2
-    i, j = pair_best
+    k = bisect.bisect_left(range(len(levels)), True, key=lambda i: half_diam(levels[i])[0] < levels[i])
+    cands = []
+    for i in range(max(k - 1, 0), min(k + 1, len(levels))):
+        g, pair = half_diam(levels[i])
+        cands.append((min(levels[i], g), pair))
+    r_best, (i, j) = max(cands, key=lambda c: c[0])  # the first maximum: ties go to k - 1
     c1 = (int(inodes[i, 0]), int(inodes[i, 1]))
     c2 = (int(inodes[j, 0]), int(inodes[j, 1]))
     return PackingResult(rho2=float(r_best), centers=(c1, c2))
@@ -262,11 +230,11 @@ def sup_rayleigh(field: ScalarField, norm: NormSpec) -> float:
     return float(np.sqrt(lip_sq)) / peak
 
 
-def eikonal_bulk_fraction(field: DistanceField, norm: NormSpec, tri, ridge_spread: float = 3.0) -> float:
+def eikonal_bulk_fraction(field: DistanceField, norm: NormSpec, tri) -> float:
     """Fraction of off-ridge interior triangles with |F(grad d) - 1| <= 0.1.
 
     A node is ridge-flagged when the near-minimizing boundary nodes (within
-    one cell of optimal) spread over more than ridge_spread cells: there the
+    one cell of optimal) spread over more than _RIDGE_SPREAD cells: there the
     gradient of the distance is genuinely discontinuous.  Triangles touching
     the boundary ring or a ridge node are excluded from the count.
     """
@@ -295,7 +263,7 @@ def eikonal_bulk_fraction(field: DistanceField, norm: NormSpec, tri, ridge_sprea
     spread = np.where(counts > 1, np.hypot(*(hi - lo)), 0.0)
     log.debug("eikonal_bulk_fraction: nodes=%d ring=%d pairs=%d", len(ipts), len(bpts), pairs)
     ridge = np.zeros(grid.mask.shape, dtype=bool)
-    ridge[grid.mask] = spread > ridge_spread * h
+    ridge[grid.mask] = spread > _RIDGE_SPREAD * h
     bad_node = ridge | grid.boundary_adjacent() | ~grid.mask
 
     # a triangle is excluded when any corner of its cell is a flagged node

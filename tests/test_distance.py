@@ -240,22 +240,80 @@ def test_hks_at_infinity():
     assert rho2 <= ref_rho2 + 2 * h
 
 
+def collinear_strip():
+    """A one-row strip of 639 nodes, all on one line."""
+    h = 1.0 / 64
+    return fs.rasterize(fs.shape(fs.rectangle(0.0, -h, 10.0, h)), h)
+
+
 @pytest.mark.parametrize("norm", [fs.euclidean(), fs.lq_norm(3.0)], ids=["euclidean", "lq3"])
 def test_packing_on_collinear_nodes_takes_all_pairs(norm):
-    # a one-row strip: more nodes than _PAIRWISE_DIRECT, all on one line, so
-    # the convex hull fails and the polar diameter falls back to all pairs
     from scipy.spatial import ConvexHull, QhullError
 
-    h = 1.0 / 64
-    grid = fs.rasterize(fs.shape(fs.rectangle(0.0, -h, 10.0, h)), h)
+    grid = collinear_strip()
+    h = grid.h
     pts = grid.node_points(np.argwhere(grid.mask))
-    assert len(pts) == 639 > distance._PAIRWISE_DIRECT
+    assert len(pts) == 639
     with pytest.raises(QhullError):
         ConvexHull(pts)
     diam, (i, j) = distance._polar_diameter(fs.polar(norm), pts)
     assert diam == pytest.approx(638 * h, rel=1e-12) and {i, j} == {0, 638}
     df = distance_transform(grid, norm)
     assert two_wulff_radius(df, norm).rho2 == brute_force_two_wulff(grid, norm, df.d)
+
+
+def test_collinear_diameter_scores_only_the_two_end_nodes(monkeypatch):
+    grid = collinear_strip()
+    pts = grid.node_points(np.argwhere(grid.mask))
+    scored = []
+
+    def counting_eval_norm(spec, x):
+        scored.append(np.asarray(x).size // 2)
+        return fs.eval_norm(spec, x)
+
+    monkeypatch.setattr(distance, "eval_norm", counting_eval_norm)
+    diam, (i, j) = distance._polar_diameter(fs.polar(fs.euclidean()), pts)
+    assert (i, j) == (0, 638) and diam == pytest.approx(638 * grid.h, rel=1e-12)
+    assert sum(scored) <= 4
+
+
+def test_two_wulff_tie_between_the_last_two_levels_goes_to_the_lower():
+    # three strip nodes one unit apart with d = 0.5, 1, 1 and 0.25 elsewhere:
+    # {d >= 0.5} gives min(0.5, 2 / 2), the infeasible {d >= 1} gives min(1, 1 / 2)
+    grid = collinear_strip()
+    nodes = np.argwhere(grid.mask)
+    d = np.where(grid.mask, 0.25, 0.0)
+    for k, val in ((0, 0.5), (64, 1.0), (128, 1.0)):
+        d[tuple(nodes[k])] = val
+    pack = two_wulff_radius(distance.DistanceField(grid, d, 1.0, tuple(nodes[64])), fs.euclidean())
+    assert pack.rho2 == 0.5
+    assert pack.centers == (tuple(nodes[0]), tuple(nodes[128]))
+
+
+@pytest.fixture(scope="module")
+def disk_field_32():
+    grid = fs.rasterize(fs.shape(fs.euclidean_disk((0.0, 0.0), 1.0)), 1.0 / 32)
+    return distance_transform(grid, fs.euclidean())
+
+
+def test_polar_diameter_takes_the_first_maximal_pair_in_node_order(disk_field_32):
+    # the disk's diameter is attained by several node pairs: the first in
+    # row-major order of the all-pairs matrix wins, whatever Qhull's vertex order
+    grid = disk_field_32.grid
+    pol = fs.polar(fs.euclidean())
+    pts = grid.node_points(np.argwhere(grid.mask))
+    assert len(pts) == 3125
+    row_max = np.array([fs.eval_norm(pol, x - pts).max() for x in pts])
+    i = int(np.argmax(row_max))
+    j = int(np.argmax(fs.eval_norm(pol, pts[i] - pts)))
+    assert distance._polar_diameter(pol, pts) == (row_max[i], (i, j)) == (row_max[i], (0, 3124))
+
+
+def test_two_wulff_centers_break_ties_by_node_order(disk_field_32):
+    grid = disk_field_32.grid
+    pack = two_wulff_radius(disk_field_32, fs.euclidean())
+    assert pack.centers == ((18, 34), (50, 34))
+    assert pack.rho2 == brute_force_two_wulff(grid, fs.euclidean(), disk_field_32.d)
 
 
 def test_two_wulff_needs_two_nodes():
@@ -287,8 +345,10 @@ def assert_exact(grid, tri, norm):
     assert df.rho_f == ref[grid.mask][k]
     assert df.argmax_node == tuple(int(c) for c in np.argwhere(grid.mask)[k])
     for spread in (1.0, 2.0, 3.0):
-        assert (eikonal_bulk_fraction(df, norm, tri, ridge_spread=spread)
-                == brute_force_eikonal_fraction(df, norm, tri, ridge_spread=spread))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(distance, "_RIDGE_SPREAD", spread)
+            assert (eikonal_bulk_fraction(df, norm, tri)
+                    == brute_force_eikonal_fraction(df, norm, tri, ridge_spread=spread))
     phi = df.as_field(tri)
     assert sup_rayleigh(phi, norm) == brute_force_sup_rayleigh(phi, norm)
     # an off-lattice cone: its steepest quotients sit on long chords along
