@@ -23,6 +23,7 @@ is exact.
 from __future__ import annotations
 
 import bisect
+import functools
 import logging
 from dataclasses import dataclass
 from typing import Tuple
@@ -154,18 +155,19 @@ def two_wulff_radius(field: DistanceField, norm: NormSpec) -> PackingResult:
     dvals = field.d[grid.mask]
     levels = np.unique(dvals)
 
-    def half_diam(r):
-        sel = dvals >= r
+    @functools.cache  # the bisection and the final pass share levels k - 1 and k
+    def half_diam(i):
+        sel = dvals >= levels[i]
         if sel.sum() < 2:
             return -np.inf, None
-        diam, (i, j) = _polar_diameter(pol, ipts[sel])
+        diam, (a, b) = _polar_diameter(pol, ipts[sel])
         idx = np.flatnonzero(sel)
-        return 0.5 * diam, (idx[i], idx[j])
+        return 0.5 * diam, (idx[a], idx[b])
 
-    k = bisect.bisect_left(range(len(levels)), True, key=lambda i: half_diam(levels[i])[0] < levels[i])
+    k = bisect.bisect_left(range(len(levels)), True, key=lambda i: half_diam(i)[0] < levels[i])
     cands = []
     for i in range(max(k - 1, 0), min(k + 1, len(levels))):
-        g, pair = half_diam(levels[i])
+        g, pair = half_diam(i)
         cands.append((min(levels[i], g), pair))
     r_best, (i, j) = max(cands, key=lambda c: c[0])  # the first maximum: ties go to k - 1
     c1 = (int(inodes[i, 0]), int(inodes[i, 1]))

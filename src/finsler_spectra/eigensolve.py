@@ -15,6 +15,7 @@ initial guesses.
 """
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from contextvars import ContextVar
@@ -609,7 +610,6 @@ def _split_candidates(grid: DomainGrid, norm: NormSpec) -> List[Tuple[np.ndarray
         side1 = np.zeros(grid.mask.shape, dtype=bool)
         side1[grid.mask] = d1 <= d2
         side2 = grid.mask & ~side1
-        side1 &= grid.mask
         if side1.any() and side2.any():
             cands.append((side1, side2))
     return cands
@@ -666,12 +666,9 @@ def solve_lambda2(
         best = _lambda2_connected(grid, norm, p, opts)
     else:
         firsts = [solve_lambda1(c, norm, p, opts) for c in comps]
-        best = None
-        for i in range(len(comps)):
-            for j in range(i + 1, len(comps)):
-                val = max(firsts[i].lam, firsts[j].lam)
-                if best is None or val < best[0]:
-                    best = (val, comps[i].mask, comps[j].mask, firsts[i], firsts[j])
+        i, j = min(itertools.combinations(range(len(comps)), 2),  # the first least pair
+                   key=lambda ij: max(firsts[ij[0]].lam, firsts[ij[1]].lam))
+        best = (max(firsts[i].lam, firsts[j].lam), comps[i].mask, comps[j].mask, firsts[i], firsts[j])
         for i, comp in enumerate(comps):
             if firsts[i].lam < best[0] * (1.0 - 1e-12):
                 sub = _lambda2_connected(comp, norm, p, opts)

@@ -32,7 +32,6 @@ from .norms import NormSpec, _number, check_duality, norm_from_dict, wulff_measu
 
 log = logging.getLogger("finsler_spectra")
 
-EXPERIMENTS = ("lambda1", "lambda2", "faber_krahn", "hks", "p_limit", "distance", "duality")
 FORMATS = ("json", "csv", "svg-data")
 
 DEFAULT_TOLERANCE = 0.03   # relative tolerance for equality-type inequality checks
@@ -55,7 +54,7 @@ class ExperimentConfig:
     out: Optional[str] = None
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
+        if self.experiment not in _RUNNERS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if not 0.0 < self.h < np.inf:
             raise ValueError(f"h must be finite and positive, got {self.h}")
@@ -76,8 +75,10 @@ class ExperimentConfig:
             area = nx * ny * self.h ** 2
             _grid_frame(unit_wulff_spec(self.norm, math.sqrt(0.5 * area / wulff_measure(self.norm))),
                         self.h)
-        if self.experiment in ("lambda1", "lambda2", "faber_krahn", "hks", "p_limit") and not self.p_list:
+        if self.experiment not in ("distance", "duality") and not self.p_list:
             raise ValueError("p_list must be nonempty for eigenvalue experiments")
+        if self.experiment == "p_limit" and any(a >= b for a, b in zip(self.p_list, self.p_list[1:])):
+            raise ValueError(f"p_list must be strictly increasing for p_limit, got {list(self.p_list)}")
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
@@ -147,7 +148,6 @@ class Report:
     inputs: dict
     records: List[dict] = field(default_factory=list)
     checks: List[dict] = field(default_factory=list)
-    runtime_seconds: float = 0.0  # logged only, never serialized
 
     @property
     def passed(self) -> bool:
@@ -178,13 +178,10 @@ def _solve(label: str, solve, grid: DomainGrid, cfg: ExperimentConfig, p: float)
 def run_lambda1(cfg: ExperimentConfig) -> Report:
     rep = Report("lambda1", cfg.echo())
     grid = rasterize(cfg.domain, cfg.h)
-
-    def job(p: float) -> dict:
+    for p in cfg.p_list:
         rec = _solve("lambda1", eig.solve_lambda1, grid, cfg, p).to_dict()
         rec["measure"] = measure(grid)
-        return rec
-
-    rep.records = [job(p) for p in cfg.p_list]
+        rep.records.append(rec)
     return rep
 
 
@@ -192,19 +189,16 @@ def run_lambda2(cfg: ExperimentConfig) -> Report:
     rep = Report("lambda2", cfg.echo())
     grid = rasterize(cfg.domain, cfg.h)
     h2 = cfg.h ** 2
-
-    def job(p: float) -> dict:
+    for p in cfg.p_list:
         r = _solve("lambda2", eig.solve_lambda2, grid, cfg, p)
-        return {
+        rep.records.append({
             "p": p,
             "lambda2": r.lambda2,
             "lambda1_part1": r.lambda1_part1,
             "lambda1_part2": r.lambda1_part2,
             "measure_part1": float(r.part1.sum() * h2),
             "measure_part2": float(r.part2.sum() * h2),
-        }
-
-    rep.records = [job(p) for p in cfg.p_list]
+        })
     return rep
 
 
@@ -222,22 +216,17 @@ def run_faber_krahn(cfg: ExperimentConfig) -> Report:
     grid_w = rasterize(unit_wulff_spec(cfg.norm), cfg.h)
     area = measure(grid)
     area_w = measure(grid_w)
-
-    def job(p: float) -> dict:
+    for p in cfg.p_list:
         lam = _solve("lambda1", eig.solve_lambda1, grid, cfg, p).lam
         lam_w = _solve("lambda1", eig.solve_lambda1, grid_w, cfg, p).lam
         left = area ** (p / 2.0) * lam
         right = area_w ** (p / 2.0) * lam_w
-        return {
+        rep.records.append({
             "p": p, "lambda1": lam, "lambda1_wulff": lam_w,
             "measure": area, "measure_wulff": area_w, "kappa": kappa,
             "left": left, "right": right, "ratio": left / right,
-        }
-
-    rep.records = [job(p) for p in cfg.p_list]
-    for rec in rep.records:
-        rep.checks.append(check_record(
-            f"faber_krahn_p_{rec['p']:g}", "ge", rec["left"], rec["right"], cfg.tolerance))
+        })
+        rep.checks.append(check_record(f"faber_krahn_p_{p:g}", "ge", left, right, cfg.tolerance))
     return rep
 
 
@@ -256,24 +245,19 @@ def run_hks(cfg: ExperimentConfig) -> Report:
     radius = float(np.sqrt(0.5 * area / kappa))
     grid_ref = rasterize(unit_wulff_spec(cfg.norm, radius), cfg.h)
     half_area = measure(grid_ref)
-
-    def job(p: float) -> dict:
+    for p in cfg.p_list:
         lam2 = _solve("lambda2", eig.solve_lambda2, grid, cfg, p).lambda2
         lam1_ref = _solve("lambda1", eig.solve_lambda1, grid_ref, cfg, p).lam
         lam2_ref = lam1_ref * (half_area / (0.5 * area)) ** (p / 2.0)
-        return {
+        rep.records.append({
             "p": p, "lambda2": lam2, "lambda2_ref": lam2_ref,
             "lambda1_ref_raster": lam1_ref,
             "measure": area, "measure_ref": 2.0 * half_area, "radius_ref": radius,
             "ratio": lam2 / lam2_ref,
             "normalized_ratio": (lam2 * area ** (p / 2.0))
                                 / (lam2_ref * (2.0 * half_area) ** (p / 2.0)),
-        }
-
-    rep.records = [job(p) for p in cfg.p_list]
-    for rec in rep.records:
-        rep.checks.append(check_record(
-            f"hks_p_{rec['p']:g}", "ge", rec["lambda2"], rec["lambda2_ref"], cfg.tolerance))
+        })
+        rep.checks.append(check_record(f"hks_p_{p:g}", "ge", lam2, lam2_ref, cfg.tolerance))
     return rep
 
 
@@ -284,23 +268,17 @@ def run_p_limit(cfg: ExperimentConfig) -> Report:
     dfield = dist.distance_transform(grid, cfg.norm)
     rho_f, _ = dist.inradius(dfield)
     rho2 = dist.two_wulff_radius(dfield, cfg.norm).rho2
-
-    def job(p: float) -> dict:
+    for p in cfg.p_list:
         lam1 = _solve("lambda1", eig.solve_lambda1, grid, cfg, p).lam
         lam2 = _solve("lambda2", eig.solve_lambda2, grid, cfg, p).lambda2
         root1 = lam1 ** (1.0 / p)
         root2 = lam2 ** (1.0 / p)
-        return {
+        rep.records.append({
             "p": p, "lambda1": lam1, "lambda2": lam2,
             "lambda1_root": root1, "lambda2_root": root2,
             "gap1": abs(root1 * rho_f - 1.0), "gap2": abs(root2 * rho2 - 1.0),
-            "monotone_diagnostic": p * root1,
-        }
-
-    rep.records = [job(p) for p in cfg.p_list]
-    for rec in rep.records:
-        rec["rho_f"] = rho_f
-        rec["rho_2f"] = rho2
+            "monotone_diagnostic": p * root1, "rho_f": rho_f, "rho_2f": rho2,
+        })
     gaps1 = [r["gap1"] for r in rep.records]
     gaps2 = [r["gap2"] for r in rep.records]
     rep.checks.append(check_record(
@@ -361,10 +339,9 @@ def run(cfg: ExperimentConfig) -> Report:
     t0 = time.perf_counter()
     with eig._GridContext() as ctx:
         rep = _RUNNERS[cfg.experiment](cfg)
-    rep.runtime_seconds = time.perf_counter() - t0
     log.debug("grid context: %s", ctx.summary())
     log.info("experiment %s finished in %.2fs (passed=%s)",
-             cfg.experiment, rep.runtime_seconds, rep.passed)
+             cfg.experiment, time.perf_counter() - t0, rep.passed)
     return rep
 
 

@@ -149,6 +149,26 @@ def test_two_wulff_anisotropic_against_brute_force():
     assert pack.rho2 == pytest.approx(oracle, abs=1e-12)
 
 
+@pytest.mark.parametrize("spec", [unit_square_spec, rect21_spec, offset_lshape_spec],
+                         ids=["square", "rect21", "offset_lshape"])
+@pytest.mark.parametrize("norm", [fs.euclidean(), fs.lq_norm(3.0)], ids=["euclidean", "lq3"])
+def test_two_wulff_takes_each_level_diameter_once(spec, norm, monkeypatch):
+    grid = fs.rasterize(spec(), 1.0 / 16)
+    df = distance_transform(grid, norm)
+    sizes = []
+    polar_diameter = distance._polar_diameter
+
+    def counted_polar_diameter(pol, pts):
+        sizes.append(len(pts))
+        return polar_diameter(pol, pts)
+
+    monkeypatch.setattr(distance, "_polar_diameter", counted_polar_diameter)
+    pack = two_wulff_radius(df, norm)
+    # distinct levels give nested super-level sets of distinct sizes
+    assert sizes and len(sizes) == len(set(sizes))
+    assert pack.rho2 == brute_force_two_wulff(grid, norm, df.d)
+
+
 def test_packing_invariants(square_field_64):
     df = square_field_64
     norm = fs.euclidean()

@@ -223,6 +223,32 @@ def test_lambda2_small_disk_limit():
     assert b.lambda2 == pytest.approx(14.68, rel=0.08)
 
 
+def test_lambda2_of_a_disconnected_set_takes_the_first_least_component_pair(monkeypatch):
+    from finsler_spectra import eigensolve
+
+    spec = fs.shape(*(fs.euclidean_disk((3.0 * k, 0.0), 1.0) for k in range(3)))
+    grid = fs.rasterize(spec, 1.0 / 4)
+    comps = fs.components(grid)
+    assert len(comps) == 3
+    lams = iter([3.0, 3.0, 1.0])
+    monkeypatch.setattr(eigensolve, "solve_lambda1", lambda *args: SimpleNamespace(lam=next(lams)))
+    searched = []
+
+    def connected(comp, *args):
+        searched.append(comp.mask)
+        r = SimpleNamespace(lam=4.0)
+        return 4.0, comp.mask, comp.mask, r, r
+
+    monkeypatch.setattr(eigensolve, "_lambda2_connected", connected)
+    b = fs.solve_lambda2(grid, fs.euclidean(), 2.0)
+    # every pair ties at 3: the first in (i, j) order wins, where sorting by lambda_1
+    # would pick components 0 and 2
+    assert b.lambda2 == 3.0
+    assert np.array_equal(b.part1, comps[0].mask) and np.array_equal(b.part2, comps[1].mask)
+    # component 2 could still beat the pair from inside, and its search loses
+    assert len(searched) == 1 and np.array_equal(searched[0], comps[2].mask)
+
+
 def test_lambda2_needs_two_nodes():
     grid = fs.rasterize(fs.shape(fs.euclidean_disk((0, 0), 0.6)), 0.5)
     with pytest.raises(ValueError):

@@ -150,6 +150,9 @@ def test_config_rejects_unknown_and_missing_keys(raw, field):
     ("p_list", [float("inf")], "lambda1"),
     ("p_list", "23", "lambda1"),
     ("p_list", 3, "lambda1"),
+    # p_limit reads its gaps in list order and its final gap at the last listed p
+    ("p_list", [4.0, 2.0], "p_limit"),
+    ("p_list", [4.0, 4.0], "p_limit"),
     ("samples", 0, "duality"),
     ("samples", 2.5, "duality"),
     ("tolerance", float("nan"), "faber_krahn"),
@@ -322,6 +325,28 @@ def test_run_p_limit_structure():
     # p stops at 4, far from the asymptote: the final-gap check must fail
     assert not gap_checks["gap1_final"]["passed"]
     assert not rep.passed
+
+
+@pytest.mark.parametrize("experiment, left, right", [
+    ("faber_krahn", "left", "right"),
+    ("hks", "lambda2", "lambda2_ref"),
+])
+def test_each_check_is_built_from_the_record_of_its_p(experiment, left, right):
+    cfg = base_cfg(experiment=experiment, h=1.0 / 8, p_list=[1.5, 2.0, 3.0])
+    rep = run(cfg)
+    assert len(rep.checks) == len(rep.records) == 3
+    for p, rec, check in zip(cfg.p_list, rep.records, rep.checks):
+        assert rec["p"] == p
+        assert ((check["name"], check["left"], check["right"], check["tolerance"])
+                == (f"{experiment}_p_{p:g}", rec[left], rec[right], cfg.tolerance))
+
+
+def test_every_p_limit_record_carries_both_inradii():
+    rep = run(base_cfg(experiment="p_limit", h=1.0 / 8, p_list=[1.5, 2.0, 3.0]))
+    (dist,) = run(base_cfg(experiment="distance", h=1.0 / 8)).records
+    assert [rec["p"] for rec in rep.records] == [1.5, 2.0, 3.0]
+    for rec in rep.records:
+        assert (rec["rho_f"], rec["rho_2f"]) == (dist["rho_f"], dist["rho_2f"])
 
 
 def test_run_distance():
