@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+from collections import Counter
 from contextvars import ContextVar
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Tuple
@@ -60,16 +61,16 @@ class _GridContext:
     It holds the triangulations and the Newton matrices of lambda_1's
     components, keyed by (h, origin, mask shape, mask bytes), and the p=2
     eigenpairs (one eigsh call serves k = 1 and 2), keyed by that and the
-    norm; their arrays are read-only.  It is active only inside the ``with``
-    block, and only experiments.run() opens one, so a direct library call
-    computes everything afresh and nothing outlives a run.  _kept is the one
-    path that builds and keeps a value.
+    norm; each under (kind, key) of one store, with read-only arrays.  It is
+    active only inside the ``with`` block, and only experiments.run() opens
+    one, so a direct library call computes everything afresh and nothing
+    outlives a run.  _kept is the one path that reads the store.
     """
 
     def __init__(self):
-        self.kept: Dict[str, dict] = {kind: {} for kind in _KINDS}
-        self.built = dict.fromkeys(_KINDS, 0)
-        self.reused = dict.fromkeys(_KINDS, 0)
+        self.kept: Dict[tuple, object] = {}
+        self.built: Counter = Counter()
+        self.reused: Counter = Counter()
         self._token = None
 
     def __enter__(self) -> "_GridContext":
@@ -78,17 +79,7 @@ class _GridContext:
 
     def __exit__(self, *exc) -> None:
         _CONTEXT.reset(self._token)
-        self.kept = {kind: {} for kind in _KINDS}
-
-    def lookup(self, kind: str, key):
-        value = self.kept[kind].get(key)
-        if value is not None:
-            self.reused[kind] += 1
-        return value
-
-    def summary(self) -> str:
-        return "; ".join(f"{kind} built={self.built[kind]} reused={self.reused[kind]}"
-                         for kind in _KINDS)
+        self.kept = {}
 
 
 _CONTEXT: ContextVar[Optional[_GridContext]] = ContextVar("finsler_spectra_grid_context",
@@ -103,15 +94,17 @@ def _sparse_arrays(*mats):
     return [a for m in mats for a in (m.data, m.indices, m.indptr)]
 
 
-def _kept(kind: str, key, build, arrays):
-    """build(), or inside experiments.run() the value kept under (kind, key): a miss
-    builds and keeps it with arrays(value) read-only, a hit counts a reuse."""
+def _kept(kind: str, key, build, arrays=None):
+    """build(), or inside experiments.run() the value kept under (kind, key): a hit counts a
+    reuse, a miss keeps build() with arrays(value) read-only, or returns None if build is None."""
     ctx = _CONTEXT.get()
     if ctx is None:
-        return build()
-    value = ctx.lookup(kind, key)
-    if value is None:
-        value = ctx.kept[kind][key] = build()
+        return None if build is None else build()
+    value = ctx.kept.get((kind, key))
+    if value is not None:
+        ctx.reused[kind] += 1
+    elif build is not None:
+        value = ctx.kept[kind, key] = build()
         ctx.built[kind] += 1
         for a in arrays(value):
             a.flags.writeable = False
@@ -121,8 +114,8 @@ def _kept(kind: str, key, build, arrays):
 def _triangulation(grid: DomainGrid) -> Triangulation:
     """triangulate(grid), or inside experiments.run() the one kept for grid's mask."""
     return _kept("triangulations", _grid_key(grid), lambda: triangulate(grid),
-                 lambda tri: [tri.node_index, tri.dof_nodes, tri.cell_ij, tri.grid.mask,
-                              tri.grid.component_id, *_sparse_arrays(tri.G, tri.GxT, tri.GyT)])
+                 lambda tri: [tri.dof_nodes, tri.cell_ij, tri.grid.mask,
+                              *_sparse_arrays(tri.G, tri.GxT, tri.GyT)])
 
 
 @dataclass(frozen=True)
@@ -428,7 +421,8 @@ def solve_lambda1(
         raise ValueError(f"initial must have the grid's shape {grid.mask.shape}, not {np.shape(initial)}")
     tri = _triangulation(grid)
     best, total = None, 0
-    for part in components(grid) if grid.num_components > 1 else [grid]:
+    parts = components(grid)
+    for part in parts if len(parts) > 1 else [grid]:
         sub = tri if part is grid else _triangulation(part)
         kkt = _newton_matrix(sub)
         v = None if initial is None else initial[part.mask]
@@ -528,11 +522,8 @@ def solve_linear_p2(grid: DomainGrid, norm: NormSpec, k: int) -> EigenResult:
 
 def _linear_p2(grid: DomainGrid, norm: NormSpec, k: int) -> EigenResult:
     """solve_linear_p2, or inside experiments.run() the pairs already computed for this grid."""
-    ctx = _CONTEXT.get()
-    pairs = None if ctx is None else ctx.lookup("p2_factorizations", (_grid_key(grid), norm))
-    if pairs is None:
-        return solve_linear_p2(grid, norm, k)
-    return pairs.result(k)
+    pairs = _kept("p2_factorizations", (_grid_key(grid), norm), None)
+    return solve_linear_p2(grid, norm, k) if pairs is None else pairs.result(k)
 
 
 class _PartSolver:

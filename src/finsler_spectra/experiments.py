@@ -54,7 +54,7 @@ class ExperimentConfig:
     out: Optional[str] = None
 
     def __post_init__(self):
-        if self.experiment not in _RUNNERS:
+        if not isinstance(self.experiment, str) or self.experiment not in _RUNNERS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if not 0.0 < self.h < np.inf:
             raise ValueError(f"h must be finite and positive, got {self.h}")
@@ -339,7 +339,8 @@ def run(cfg: ExperimentConfig) -> Report:
     t0 = time.perf_counter()
     with eig._GridContext() as ctx:
         rep = _RUNNERS[cfg.experiment](cfg)
-    log.debug("grid context: %s", ctx.summary())
+    log.debug("grid context: %s", "; ".join(f"{kind} built={ctx.built[kind]} reused={ctx.reused[kind]}"
+                                            for kind in eig._KINDS))
     log.info("experiment %s finished in %.2fs (passed=%s)",
              cfg.experiment, time.perf_counter() - t0, rep.passed)
     return rep
@@ -383,11 +384,11 @@ def emit_report(report: Report, out_dir: str, fmt: str = "json") -> List[str]:
     """Write the report in the requested format; returns the paths written."""
     if fmt not in FORMATS:
         raise ValueError(f"unknown report format {fmt!r}; expected one of {FORMATS}")
-    os.makedirs(out_dir, exist_ok=True)
     name = {"json": "report.json", "csv": "report.csv", "svg-data": "plot_data.json"}[fmt]
     text = {"json": report_json, "csv": report_csv, "svg-data": report_plot_data}[fmt](report)
     path = os.path.join(out_dir, name)
     try:
+        os.makedirs(out_dir, exist_ok=True)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:

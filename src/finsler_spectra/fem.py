@@ -36,7 +36,6 @@ class Triangulation:
     """
 
     grid: DomainGrid
-    node_index: np.ndarray   # (nx, ny) int, -1 outside the mask
     dof_nodes: np.ndarray    # (ndof, 2) grid indices of the dofs
     cell_ij: np.ndarray      # (ncell, 2) lower-left corner of each kept cell
     G: sp.csr_matrix         # (2 ntri, ndof) = [Gx; Gy]; triangles are [lower cells; upper cells]
@@ -102,7 +101,7 @@ def triangulate(grid: DomainGrid) -> Triangulation:
         _gradient_matrix(rows, D, A, h, ncell, ndof),
     ]).tocsr()
     ntri = 2 * ncell
-    return Triangulation(grid, node_index, dof_nodes, cell_ij, G,
+    return Triangulation(grid, dof_nodes, cell_ij, G,
                          G[:ntri].T.tocsr(), G[ntri:].T.tocsr())
 
 

@@ -156,6 +156,8 @@ class ShapeSpec:
 
     @staticmethod
     def from_dict(items: list) -> "ShapeSpec":
+        if not isinstance(items, list):
+            raise ValueError(f"domain must be a JSON list of primitives, got {items!r}")
         return ShapeSpec(tuple(ShapePrimitive.from_dict(d) for d in items))
 
     def bbox(self) -> Tuple[float, float, float, float]:
@@ -188,8 +190,7 @@ class DomainGrid:
     h: float
     nx: int
     ny: int
-    mask: np.ndarray          # bool (nx, ny), True on interior nodes
-    component_id: np.ndarray  # int (nx, ny), -1 off the mask, else 0..k-1
+    mask: np.ndarray  # bool (nx, ny), True on interior nodes
 
     @property
     def interior_count(self) -> int:
@@ -197,7 +198,7 @@ class DomainGrid:
 
     @property
     def num_components(self) -> int:
-        return int(self.component_id.max()) + 1 if self.mask.any() else 0
+        return ndimage.label(self.mask, structure=_FOUR)[1]
 
     def node_xs(self) -> np.ndarray:
         return self.origin[0] + self.h * np.arange(self.nx)
@@ -225,16 +226,11 @@ class DomainGrid:
         return self.mask & ~eroded
 
     def subgrid(self, mask: np.ndarray) -> "DomainGrid":
-        """Same frame, mask restricted; component ids recomputed."""
+        """Same frame, mask restricted."""
         sub = mask & self.mask
         if not sub.any():
             raise ValueError("empty sub-domain")
-        return DomainGrid(self.origin, self.h, self.nx, self.ny, sub, _label(sub))
-
-
-def _label(mask: np.ndarray) -> np.ndarray:
-    lab, _ = ndimage.label(mask, structure=_FOUR)
-    return lab.astype(np.int32) - 1
+        return replace(self, mask=sub)
 
 
 def _grid_frame(spec: ShapeSpec, h: float) -> Tuple[Tuple[float, float], int, int]:
@@ -273,7 +269,7 @@ def rasterize(spec: ShapeSpec, h: float) -> DomainGrid:
             inside &= ~hit
     if not inside.any():
         raise ValueError("rasterize: no interior node (empty domain at this resolution)")
-    return DomainGrid(origin, h, nx, ny, inside, _label(inside))
+    return DomainGrid(origin, h, nx, ny, inside)
 
 
 def measure(grid: DomainGrid) -> float:
@@ -282,12 +278,9 @@ def measure(grid: DomainGrid) -> float:
 
 
 def components(grid: DomainGrid) -> List[DomainGrid]:
-    """One same-frame sub-grid per 4-connected component (a mask partition)."""
-    out = []
-    for c in range(grid.num_components):
-        sub = grid.component_id == c
-        out.append(DomainGrid(grid.origin, grid.h, grid.nx, grid.ny, sub, _label(sub)))
-    return out
+    """One same-frame sub-grid per 4-connected component (a mask partition), in label order."""
+    labels, count = ndimage.label(grid.mask, structure=_FOUR)
+    return [replace(grid, mask=labels == c) for c in range(1, count + 1)]
 
 
 def scale_domain(spec: ShapeSpec, t: float) -> ShapeSpec:

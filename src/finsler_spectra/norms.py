@@ -85,7 +85,7 @@ def norm_from_dict(d: dict) -> NormSpec:
     if not isinstance(d, dict):
         raise ValueError(f"norm must be a JSON object, got {d!r}")
     family = d.get("family")
-    if family not in _SPELLINGS:
+    if not isinstance(family, str) or family not in _SPELLINGS:
         raise ValueError(f"unknown norm family {family!r}")
     make, keys = _SPELLINGS[family]
     if set(d) != {"family", *keys}:

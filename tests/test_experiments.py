@@ -137,6 +137,15 @@ def _valid_config(**over):
     (_valid_config(norm=None), "norm"),
     (_valid_config(domain=[{"type": "euclidean_disk", "center": [0.0], "radius": 1.0}]), "center"),
     (_valid_config(domain=[{"type": "euclidean_disk", "center": [0.0] * 3, "radius": 1.0}]), "center"),
+    # JSON values of the wrong type: a ValueError naming the field, not a TypeError
+    (_valid_config(experiment=[]), "experiment"),
+    (_valid_config(experiment={}), "experiment"),
+    (_valid_config(domain=5), "domain must be"),
+    (_valid_config(domain="rect"), "domain must be"),
+    (_valid_config(domain=square_domain()[0]), "domain must be"),
+    (_valid_config(norm={"family": []}), "norm family"),
+    ([], "config must be a JSON object"),
+    (_valid_config(solver=[500]), "solver must be a JSON object"),
 ])
 def test_config_rejects_unknown_and_missing_keys(raw, field):
     with pytest.raises(ValueError, match=field):
@@ -206,6 +215,13 @@ def test_config_rejects_an_out_that_is_not_a_string(out):
     with pytest.raises(ValueError, match="out must be"):
         ExperimentConfig.from_dict(_valid_config(out=out))
     assert ExperimentConfig.from_dict(_valid_config(out="report.json")).out == "report.json"
+
+
+def test_readme_config_example_parses():
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"), encoding="utf-8") as fh:
+        raw = json.loads(fh.read().split("```json\n", 1)[1].split("```", 1)[0])
+    cfg = ExperimentConfig.from_dict(raw)
+    assert {**cfg.echo(), "out": cfg.out} == {"samples": 100, **raw}
 
 
 def test_check_duality_rejects_a_norm_that_is_not_an_object():
@@ -400,6 +416,22 @@ def test_emit_report_formats(tmp_path):
         emit_report(rep, str(tmp_path), "xml")
 
 
+def test_emit_report_wraps_every_write_error(tmp_path):
+    rep = fs.Report("duality", {})
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    with pytest.raises(OSError, match="could not write report to"):
+        emit_report(rep, str(a_file))
+    (tmp_path / "out" / "report.json").mkdir(parents=True)
+    with pytest.raises(OSError, match="could not write report to"):
+        emit_report(rep, str(tmp_path / "out"))
+
+
+def test_check_record_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown check kind 'eq'"):
+        fs.experiments.check_record("x", "eq", 1.0, 1.0)
+
+
 def test_determinism_byte_identical():
     cfgs = [
         base_cfg(experiment="duality", norm={"family": "lq", "q": 3.0}),
@@ -541,10 +573,10 @@ def test_grid_context_values_are_read_only():
         assert eigensolve._linear_p2(grid, norm, 2) is pair
         # both solves run on the one Newton matrix the first of them kept
         kept_solves = [fs.solve_lambda1(grid, aniso, p) for p in (1.5, 8.0)]
-        pairs = ctx.kept["p2_factorizations"][eigensolve._grid_key(grid), norm]
-        (kkt,) = ctx.kept["newton_matrices"].values()
+        pairs = ctx.kept["p2_factorizations", (eigensolve._grid_key(grid), norm)]
+        kkt = ctx.kept["newton_matrices", eigensolve._grid_key(grid)]
         assert kkt.tri is tri
-        kept = [tri.node_index, tri.dof_nodes, tri.cell_ij, tri.grid.mask, tri.grid.component_id,
+        kept = [tri.dof_nodes, tri.cell_ij, tri.grid.mask,
                 pair.u.values, pairs.w, pairs.vecs, kkt.perm, kkt.rank, kkt.rows, kkt.cols, *kkt.band]
         for mat in (tri.G, tri.GxT, tri.GyT, pairs.K, kkt.map):
             kept += [mat.data, mat.indices, mat.indptr]
@@ -557,7 +589,7 @@ def test_grid_context_values_are_read_only():
         assert r.to_dict() == f.to_dict() and r.u.values.tobytes() == f.u.values.tobytes()
     # outside a context every call builds a fresh, writable value
     again = eigensolve._triangulation(grid)
-    assert again is not tri and again.node_index.flags.writeable and again.G.data.flags.writeable
+    assert again is not tri and again.dof_nodes.flags.writeable and again.G.data.flags.writeable
     assert eigensolve._linear_p2(grid, norm, 2).u.values.flags.writeable
     assert eigensolve._newton_matrix(again).perm.flags.writeable
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import finsler_spectra as fs
-from finsler_spectra.geometry import ShapeSpec
+from finsler_spectra.geometry import ShapePrimitive, ShapeSpec
 
 from conftest import lshape_spec, two_disk_spec, unit_square_spec
 
@@ -159,6 +159,19 @@ def test_rectangle_rejects_inverted_corners():
         fs.rectangle(1.0, 0.0, 0.0, 1.0)
     with pytest.raises(ValueError, match="y1 > y0"):
         fs.rectangle(0.0, 1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: ShapePrimitive("circle"), "unknown primitive kind 'circle'"),
+    (lambda: fs.rectangle(0.0, 0.0, 1.0, 1.0, mode="intersect"), "unknown primitive mode 'intersect'"),
+    (lambda: ShapePrimitive("wulff", radius=1.0), "wulff primitive needs a norm"),
+    (lambda: fs.scale_domain(unit_square_spec(), 0), "scale factor must be positive"),
+    (lambda: fs.rasterize(unit_square_spec(), 0.25).subgrid(
+        ~fs.rasterize(unit_square_spec(), 0.25).mask), "empty sub-domain"),
+])
+def test_python_constructors_reject_bad_input(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 @pytest.mark.parametrize("h", [float("nan"), float("inf")])

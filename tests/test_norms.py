@@ -238,6 +238,7 @@ def test_norm_spellings_round_trip(d):
     (lambda: norm_from_dict({"family": "euclidean", "q": 3}), "'q'"),
     (lambda: norm_from_dict({"family": "lq", "q": 3.0, "a1": 2.0}), "'a1'"),
     (lambda: norm_from_dict({"family": "lq", "q": float("nan")}), "q"),
+    (lambda: norm_from_dict({"family": "taxicab"}), "unknown norm family 'taxicab'"),
 ])
 def test_bad_norm_input_is_rejected(make, field):
     with pytest.raises(ValueError, match=field):
