@@ -3,8 +3,9 @@
     finsler-spectra run --config cfg.json [--out DIR] [--format json|csv|svg-data]
     finsler-spectra check-duality --norm '{"family":"lq","q":3.0}' --samples 100
 
-Exit code 0 iff every pass flag of the run is true.  FS_LOG in
-{error, info, debug} controls diagnostics on standard error.
+Exit code 0 iff every pass flag of the run is true, 1 if one is false, 2 (one
+line on standard error) for a config file or --norm that cannot be read or is
+rejected.  FS_LOG in {error, info, debug} controls diagnostics on standard error.
 """
 from __future__ import annotations
 
@@ -44,7 +45,11 @@ def _package_logging():
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    cfg = experiments.ExperimentConfig.from_json(args.config)
+    try:
+        cfg = experiments.ExperimentConfig.from_json(args.config)
+    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        print(f"finsler-spectra: {args.config}: {exc}", file=sys.stderr)
+        return 2
     report = experiments.run(cfg)
     out_dir = args.out or cfg.out or "."
     paths = experiments.emit_report(report, out_dir, args.format)
@@ -54,7 +59,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_duality(args: argparse.Namespace) -> int:
-    norm = norm_from_dict(json.loads(args.norm))
+    try:
+        norm = norm_from_dict(json.loads(args.norm))
+    except ValueError as exc:
+        print(f"finsler-spectra: --norm: {exc}", file=sys.stderr)
+        return 2
     rep = check_duality(norm, args.samples)
     print(json.dumps({"norm": norm.to_dict(), "samples": args.samples, **asdict(rep)},
                      indent=2, sort_keys=True))

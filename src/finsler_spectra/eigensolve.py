@@ -15,6 +15,7 @@ initial guesses.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
@@ -52,19 +53,20 @@ class ConvergenceError(RuntimeError):
     """Raised when an eigenvalue solve ends far from stationarity."""
 
 
-_KINDS = ("triangulations", "p2_factorizations", "newton_matrices")
+_KINDS = ("triangulations", "p2_factorizations", "newton_matrices", "rungs")
 
 
 class _GridContext:
     """What one experiments.run() computes once per grid and keeps for the run.
 
     It holds the triangulations and the Newton matrices of lambda_1's
-    components, keyed by (h, origin, mask shape, mask bytes), and the p=2
+    components, keyed by (h, origin, mask shape, mask bytes), the p=2
     eigenpairs (one eigsh call serves k = 1 and 2), keyed by that and the
-    norm; each under (kind, key) of one store, with read-only arrays.  It is
-    active only inside the ``with`` block, and only experiments.run() opens
-    one, so a direct library call computes everything afresh and nothing
-    outlives a run.  _kept is the one path that reads the store.
+    norm, and the cold ladder rungs of solve_lambda1; each under (kind, key)
+    of one store, with read-only arrays.  It is active only inside the
+    ``with`` block, and only experiments.run() opens one, so a direct library
+    call computes everything afresh and nothing outlives a run.  _kept is the
+    one path that reads the store.
     """
 
     def __init__(self):
@@ -410,8 +412,13 @@ def solve_lambda1(
     zero off the winning one.  A component climbs the doubling ladder from its
     p=2 linear eigenfunction, one Newton stage per rung, or takes one stage at
     p from ``initial``, a frame array (nx, ny) shaped for p, where that is
-    nonzero.  A stage that reaches ``opts.max_iter`` steps raises
-    ConvergenceError.  ``plateau`` is no longer a setting and must stay None.
+    nonzero.  Inside experiments.run() a cold climb keeps each rung's stage
+    for (component mask, norm, rung, opts): rung 2 starts from the p=2
+    eigenfunction, any other from the power of two before it in every ladder
+    that holds it, so a kept stage is bit for bit a fresh one.  ``iterations``
+    counts the steps of every rung that led to u, kept ones included.  A stage
+    that reaches ``opts.max_iter`` steps raises ConvergenceError, a kept one
+    on every request.  ``plateau`` is no longer a setting and must stay None.
     """
     if not 1.0 < p < np.inf:
         raise ValueError("p must lie in (1, inf)")
@@ -426,12 +433,15 @@ def solve_lambda1(
         sub = tri if part is grid else _triangulation(part)
         kkt = _newton_matrix(sub)
         v = None if initial is None else initial[part.mask]
-        if v is not None and np.abs(v).max(initial=0.0) > 0.0:
+        warm = v is not None and np.abs(v).max(initial=0.0) > 0.0
+        if warm:
             ladder = [p]
         else:
             v, ladder = _linear_p2(part, _p2_stand_in(norm), 1).u.values, _exponent_ladder(p)
         for q in ladder:
-            v, lam, steps, res, reason = _newton_stage(sub, kkt, norm, q, v, opts.tol, opts.max_iter)
+            stage = functools.partial(_newton_stage, sub, kkt, norm, q, v, opts.tol, opts.max_iter)
+            v, lam, steps, res, reason = stage() if warm else _kept(
+                "rungs", (_grid_key(part), norm, q, opts), stage, lambda rung: rung[:1])
             total += steps
             if reason == "maxiter":
                 raise ConvergenceError(f"lambda_1 solve did not converge: p={q}, dofs={sub.ndof}, "

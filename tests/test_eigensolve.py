@@ -5,6 +5,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 
 import finsler_spectra as fs
@@ -404,6 +406,25 @@ def test_lambda2_drops_nodal_candidate_when_oracle_fails(monkeypatch, caplog):
     assert b.lambda2 == eigensolve._greedy_refine(solver, *packing)[0]
     assert any("nodal" in r.getMessage() and "ConvergenceError" in r.getMessage()
                for r in caplog.records)
+
+
+_EXPONENTS = st.floats(min_value=1.0, max_value=64.0, exclude_min=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_EXPONENTS, _EXPONENTS)
+@example(8.0, 16.0)
+@example(1.5, 2.0)
+@example(7.995, 8.0)
+def test_a_ladder_rung_has_the_same_predecessor_in_every_ladder(p, p_other):
+    # what lets a run keep a cold rung: its start is fixed by the rung alone
+    from finsler_spectra.eigensolve import _exponent_ladder
+
+    ladders = [_exponent_ladder(p), _exponent_ladder(p_other)]
+    for ladder, top in zip(ladders, (p, p_other)):
+        assert ladder[0] == 2.0 and ladder[-1] == top and len(set(ladder)) == len(ladder)
+    before = [dict(zip(ladder, [None] + ladder[:-1])) for ladder in ladders]
+    assert all(before[0][q] == before[1][q] for q in before[0].keys() & before[1].keys())
 
 
 @pytest.mark.parametrize("p", [1.5, 3.0])

@@ -224,9 +224,27 @@ def test_readme_config_example_parses():
     assert {**cfg.echo(), "out": cfg.out} == {"samples": 100, **raw}
 
 
-def test_check_duality_rejects_a_norm_that_is_not_an_object():
-    with pytest.raises(ValueError, match="norm"):
-        cli.main(["check-duality", "--norm", '"euclidean"'])
+def test_check_duality_rejects_a_norm_that_is_not_an_object(capsys):
+    assert cli.main(["check-duality", "--norm", '"euclidean"']) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("finsler-spectra: ") and "norm" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text, named", [
+    (json.dumps({"experiment": "lambda1", "domain": 5, "norm": {"family": "euclidean"},
+                 "h": 0.125}), "domain"),
+    (None, "missing.json"),
+    ("{not json", "cfg.json"),
+], ids=["invalid", "missing", "not-json"])
+def test_cli_run_refuses_a_bad_config_with_exit_code_2(tmp_path, capsys, text, named):
+    cfg_path = tmp_path / ("missing.json" if text is None else "cfg.json")
+    if text is not None:
+        cfg_path.write_text(text)
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert line.startswith("finsler-spectra: ") and named in line and "Traceback" not in line
+    assert captured.out == "" and not (tmp_path / "o").exists()
 
 
 def test_debug_log_leaves_distance_report_unchanged(tmp_path, monkeypatch, capsys):
@@ -576,15 +594,18 @@ def test_grid_context_values_are_read_only():
         pairs = ctx.kept["p2_factorizations", (eigensolve._grid_key(grid), norm)]
         kkt = ctx.kept["newton_matrices", eigensolve._grid_key(grid)]
         assert kkt.tri is tri
-        kept = [tri.dof_nodes, tri.cell_ij, tri.grid.mask,
+        rung = ctx.kept["rungs", (eigensolve._grid_key(grid), aniso, 8.0, fs.SolverOptions())]
+        kept = [tri.dof_nodes, tri.cell_ij, tri.grid.mask, rung[0],
                 pair.u.values, pairs.w, pairs.vecs, kkt.perm, kkt.rank, kkt.rows, kkt.cols, *kkt.band]
         for mat in (tri.G, tri.GxT, tri.GyT, pairs.K, kkt.map):
             kept += [mat.data, mat.indices, mat.indptr]
         for a in kept:
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = a.copy()
-    assert ctx.built == {"triangulations": 1, "p2_factorizations": 2, "newton_matrices": 1}
-    assert ctx.reused["newton_matrices"] == 1
+    # the ladders [2, 1.5] and [2, 4, 8] share their p=2 rung
+    assert ctx.built == {"triangulations": 1, "p2_factorizations": 2, "newton_matrices": 1,
+                         "rungs": 4}
+    assert ctx.reused["newton_matrices"] == 1 and ctx.reused["rungs"] == 1
     for r, f in zip(kept_solves, fresh):
         assert r.to_dict() == f.to_dict() and r.u.values.tobytes() == f.u.values.tobytes()
     # outside a context every call builds a fresh, writable value
@@ -592,6 +613,68 @@ def test_grid_context_values_are_read_only():
     assert again is not tri and again.dof_nodes.flags.writeable and again.G.data.flags.writeable
     assert eigensolve._linear_p2(grid, norm, 2).u.values.flags.writeable
     assert eigensolve._newton_matrix(again).perm.flags.writeable
+
+
+@pytest.mark.parametrize("domain, p_list, rungs", [
+    # (built, reused): ladders [2], [2, 4], ..., [2, 4, 8, 16, 32] share every rung
+    (square_domain(), [2.0, 4.0, 8.0, 16.0, 32.0], (5, 10)),
+    # [2, 3], [2, 1.5], [2, 3], [2, 4, 6], [2, 4, 5]
+    (square_domain(), [3.0, 1.5, 3.0, 6.0, 5.0], (6, 6)),
+    # two components, each with its own rungs
+    (two_disk_domain(), [2.0, 4.0, 8.0], (6, 6)),
+])
+def test_kept_rungs_give_the_lambda1_of_a_fresh_climb(monkeypatch, caplog, domain, p_list, rungs):
+    from finsler_spectra import eigensolve
+
+    caplog.set_level(logging.DEBUG, logger="finsler_spectra")
+    seen = []
+    solve_lambda1 = eigensolve.solve_lambda1
+
+    def recorded(*args):
+        seen.append((args, solve_lambda1(*args)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(eigensolve, "solve_lambda1", recorded)
+    run(base_cfg(domain=domain, h=1.0 / 8, p_list=p_list))
+    (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("grid context:")]
+    assert re.search(r"rungs built=(\d+) reused=(\d+)$", line).groups() == tuple(map(str, rungs))
+    assert [args[2] for args, _ in seen] == p_list
+    for args, kept in seen:
+        fresh = solve_lambda1(*args)
+        assert kept.to_dict() == fresh.to_dict() and kept.u.values.tobytes() == fresh.u.values.tobytes()
+
+
+def test_a_warm_solve_keeps_no_rung():
+    from finsler_spectra import eigensolve
+
+    grid = fs.rasterize(fs.ShapeSpec.from_dict(square_domain()), 1.0 / 8)
+    with eigensolve._GridContext() as ctx:
+        fs.solve_lambda1(grid, fs.euclidean(), 3.0, initial=np.ones(grid.mask.shape))
+    assert ctx.built["rungs"] == ctx.reused["rungs"] == 0 and ctx.built["newton_matrices"] == 1
+
+
+def test_a_kept_rung_that_hit_max_iter_fails_again():
+    from finsler_spectra import eigensolve
+
+    grid = fs.rasterize(fs.ShapeSpec.from_dict(square_domain()), 1.0 / 8)
+    opts = fs.SolverOptions(max_iter=1)
+    aniso = fs.weighted_quadratic(4.0, 1.0)
+    with pytest.raises(fs.ConvergenceError) as fresh:
+        fs.solve_lambda1(grid, fs.euclidean(), 3.0, opts)
+    errors = []
+    with eigensolve._GridContext() as ctx:
+        for _ in range(2):
+            with pytest.raises(fs.ConvergenceError) as err:
+                fs.solve_lambda1(grid, fs.euclidean(), 3.0, opts)
+            errors.append(str(err.value))
+        # other solver options, or another norm, are other rungs
+        solved = [fs.solve_lambda1(grid, norm, 3.0) for norm in (fs.euclidean(), aniso)]
+    assert errors == [str(fresh.value)] * 2 and "p=3.0" in errors[0]
+    assert [r.to_dict() for r in solved] == [fs.solve_lambda1(grid, norm, 3.0).to_dict()
+                                             for norm in (fs.euclidean(), aniso)]
+    # rungs 2 and 3 are built by the first solve and by each solve after the failing ones;
+    # the second failing solve takes both from the context
+    assert ctx.built["rungs"] == 6 and ctx.reused["rungs"] == 2
 
 
 def test_grid_context_keeps_direct_linear_p2_pairs():
@@ -634,7 +717,8 @@ def test_grid_context_logs_one_debug_line_per_run(tmp_path, monkeypatch, capsys)
     cfg_path.write_text(json.dumps(hks_config()))
     pattern = re.compile(r"grid context: triangulations built=(\d+) reused=(\d+); "
                          r"p2_factorizations built=(\d+) reused=(\d+); "
-                         r"newton_matrices built=(\d+) reused=(\d+)$")
+                         r"newton_matrices built=(\d+) reused=(\d+); "
+                         r"rungs built=(\d+) reused=(\d+)$")
     reports = []
     for level in ("error", "debug"):
         monkeypatch.setenv("FS_LOG", level)
@@ -721,7 +805,8 @@ def test_a_repeated_p_is_solved_again_from_the_grid_context(caplog):
     caplog.set_level(logging.DEBUG, logger="finsler_spectra")
     pattern = re.compile(r"grid context: triangulations built=(\d+) reused=(\d+); "
                          r"p2_factorizations built=(\d+) reused=(\d+); "
-                         r"newton_matrices built=(\d+) reused=(\d+)$")
+                         r"newton_matrices built=(\d+) reused=(\d+); "
+                         r"rungs built=(\d+) reused=(\d+)$")
     results = {}
     for p_list in ([2.0, 3.0], [2.0, 3.0, 3.0]):
         caplog.clear()
@@ -731,7 +816,7 @@ def test_a_repeated_p_is_solved_again_from_the_grid_context(caplog):
         results[len(p_list)] = (json.loads(report_json(rep))["records"], [int(n) for n in counts])
     (records2, counts2), (records3, counts3) = results[2], results[3]
     assert records3[1] == records3[2] and records3[:2] == records2
-    # the repeat builds nothing: every triangulation, p=2 pair and Newton matrix it needs
-    # is a context hit
-    assert counts3[0::2] == counts2[0::2]
+    # the repeat builds nothing, no ladder rung included: every triangulation, p=2 pair,
+    # Newton matrix and cold rung it needs is a context hit
+    assert counts3[0::2] == counts2[0::2] and counts2[6] > 0
     assert all(c3 > c2 for c3, c2 in zip(counts3[1::2], counts2[1::2]))
