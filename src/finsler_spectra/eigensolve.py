@@ -330,7 +330,9 @@ def _newton_stage(tri, kkt, norm, p, values, tol, max_iter):
     """Newton's method for the quotient on the mass sphere at one exponent.
 
     A step solves the system of _NewtonMatrix, scales v + a d to unit mass and
-    halves a until the quotient drops (Armijo).  A step that is no descent
+    halves a until the quotient drops (Armijo); an accepted full step also tries
+    a at the minimum of the parabola through R(0), R'(0) and R(1) and keeps the
+    lower quotient (Nocedal & Wright, section 3.5).  A step that is no descent
     direction or fails its line search is retried with mu grown tenfold (from 0
     to 1e-12 of the largest matrix entry); an accepted one shrinks a nonzero mu
     tenfold, down to that floor.  Stops on tol, on the quotient's rounding
@@ -339,7 +341,7 @@ def _newton_stage(tri, kkt, norm, p, values, tol, max_iter):
     v, gv, r, terms = _evaluate(tri, norm, p, values)
     g = _tangent_gradient(tri, p, v, r, terms)
     res = _residual(v, g, r)
-    steps = factorizations = trials = 0
+    steps = factorizations = trials = parabola = 0
     mu, data, reason = 0.0, None, "tol"
     while res > tol:
         if steps == max_iter:
@@ -366,6 +368,19 @@ def _newton_stage(tri, kkt, norm, p, values, tol, max_iter):
                 accepted = trial[2] <= r + 1e-4 * alpha * slope + slack
                 if accepted:
                     break
+            # an accepted full step also tries the minimum of the parabola through R(0), R'(0) and R(1)
+            # if well off 1: near a p < 2 apex R acts like |x|^p, where Newton overshoots by (p-2)/(p-1)
+            curve = trial[2] - r - slope if accepted and alpha == 1.0 and not floor else 0.0
+            a_fit = -slope / (2.0 * curve) if curve > 0.0 else 1.0
+            if 0.05 < a_fit < 4.0 and abs(a_fit - 1.0) > 0.05:
+                trials += 1
+                try:
+                    fit = _evaluate(tri, norm, p, v + a_fit * d)
+                except ValueError:
+                    fit = trial
+                if fit[2] < trial[2]:
+                    trial = fit
+                    parabola += 1
         if accepted:
             v, gv, r, terms = trial
             g = _tangent_gradient(tri, p, v, r, terms)
@@ -379,8 +394,8 @@ def _newton_stage(tri, kkt, norm, p, values, tol, max_iter):
         if floor and res > tol:
             reason = "floor"
             break
-    log.debug("newton stage p=%g dofs=%d steps=%d factorizations=%d trials=%d mu=%.1e stop=%s "
-              "residual=%.3e", p, tri.ndof, steps, factorizations, trials, mu, reason, res)
+    log.debug("newton stage p=%g dofs=%d steps=%d factorizations=%d trials=%d parabola=%d mu=%.1e "
+              "stop=%s residual=%.3e", p, tri.ndof, steps, factorizations, trials, parabola, mu, reason, res)
     return v, r, steps, res, reason
 
 
@@ -439,13 +454,18 @@ def solve_lambda1(
         else:
             v, ladder = _linear_p2(part, _p2_stand_in(norm), 1).u.values, _exponent_ladder(p)
         for q in ladder:
+            key = (_grid_key(part), norm, q, opts)
+            kept = None if warm else _kept("rungs", key, None)
             stage = functools.partial(_newton_stage, sub, kkt, norm, q, v, opts.tol, opts.max_iter)
-            v, lam, steps, res, reason = stage() if warm else _kept(
-                "rungs", (_grid_key(part), norm, q, opts), stage, lambda rung: rung[:1])
+            v, lam, steps, res, reason = kept or (
+                stage() if warm else _kept("rungs", key, stage, lambda rung: rung[:1]))
+            if kept:
+                log.debug("newton stage kept p=%g dofs=%d steps=%d stop=%s residual=%.3e",
+                          q, sub.ndof, steps, reason, res)
             total += steps
             if reason == "maxiter":
                 raise ConvergenceError(f"lambda_1 solve did not converge: p={q}, dofs={sub.ndof}, "
-                                       f"residual={res:.2e} after {total} iterations")
+                                       f"residual={res:.3e} after {total} iterations")
         if best is None or lam < best[0]:
             best = (lam, part.mask, v)
     arr = np.zeros(grid.mask.shape)

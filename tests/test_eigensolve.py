@@ -435,10 +435,10 @@ def test_lambda1_stage_at_max_iter_raises_naming_p_dofs_and_residual(caplog, p):
             fs.solve_lambda1(grid, fs.euclidean(), p, SolverOptions(max_iter=1))
     stage = re.compile(rf"newton stage p={p:g} dofs=49 steps=1 .* stop=maxiter residual=(\S+)$")
     (last,) = [m for m in map(stage.match, (r.getMessage() for r in caplog.records)) if m]
-    residual = float(last[1])
-    assert residual > 1e-8
+    assert float(last[1]) > 1e-8
+    # the message carries the residual as the DEBUG line prints it, rounded once
     assert str(err.value) == (f"lambda_1 solve did not converge: p={p}, dofs=49, "
-                              f"residual={residual:.2e} after 1 iterations")
+                              f"residual={last[1]} after 1 iterations")
 
 
 def _fail_on_masks(monkeypatch, masks):
@@ -652,7 +652,7 @@ def test_descent_stages_log_one_debug_line_each(caplog):
     with caplog.at_level(logging.DEBUG, logger="finsler_spectra.eigensolve"):
         r = fs.solve_lambda1(grid, fs.lq_norm(3.0), 3.0)
     pattern = re.compile(r"newton stage p=(\S+) dofs=(\d+) steps=(\d+) factorizations=(\d+) "
-                         r"trials=(\d+) mu=(\S+) stop=(tol|floor|maxiter) residual=(\S+)$")
+                         r"trials=(\d+) parabola=(\d+) mu=(\S+) stop=(tol|floor|maxiter) residual=(\S+)$")
     built = re.compile(rf"newton matrix dofs={grid.interior_count} band=(\d+)$")
     messages = [rec.getMessage() for rec in caplog.records]
     # the one connected component's Newton matrix is built once, before its stages
@@ -662,9 +662,84 @@ def test_descent_stages_log_one_debug_line_each(caplog):
     assert [float(m[1]) for m in stages] == [2.0, 3.0]
     assert all(int(m[2]) == grid.interior_count for m in stages)
     assert sum(int(m[3]) for m in stages) == r.iterations
-    assert all(int(m[4]) >= int(m[3]) and int(m[5]) >= int(m[3]) and float(m[6]) >= 0.0
-               for m in stages)
-    assert stages[-1][7] == "tol" and float(stages[-1][8]) <= 1e-8
+    assert all(int(m[4]) >= int(m[3]) and int(m[5]) >= int(m[3]) + int(m[6])
+               and int(m[6]) <= int(m[3]) and float(m[7]) >= 0.0 for m in stages)
+    assert stages[-1][8] == "tol" and float(stages[-1][9]) <= 1e-8
+
+
+# p = 1.5 from the p = 2 rung at h = 1/32: (domain, norm, lambda_1).  With the plain
+# Armijo line search the p = 1.5 stage took 31, 20 and 17 Newton steps
+PARABOLA_CASES = {
+    "disk-euclidean": (fs.shape(fs.euclidean_disk((0.0, 0.0), 1.0)), fs.euclidean(), 4.04192975398339),
+    "disk-lq3": (fs.shape(fs.euclidean_disk((0.0, 0.0), 1.0)), fs.lq_norm(3.0), 3.682519811429908),
+    "square-euclidean": (unit_square_spec(), fs.euclidean(), 10.067073565921062),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARABOLA_CASES))
+def test_p15_stage_takes_few_newton_steps(caplog, case):
+    spec, norm, lam = PARABOLA_CASES[case]
+    with caplog.at_level(logging.DEBUG, logger="finsler_spectra.eigensolve"):
+        r = fs.solve_lambda1(fs.rasterize(spec, 1.0 / 32), norm, 1.5)
+    stage = re.compile(r"newton stage p=1.5 dofs=\d+ steps=(\d+) .* stop=(\S+) residual=\S+$")
+    (last,) = [m for m in map(stage.match, (rec.getMessage() for rec in caplog.records)) if m]
+    # near the apex of u a full Newton step flips the apex value around its target;
+    # the parabola's step size damps it
+    assert int(last[1]) <= 12 and last[2] == "tol"
+    assert r.lam == pytest.approx(lam, rel=1e-13)
+
+
+def test_parabola_trial_never_raises_the_accepted_quotient(monkeypatch):
+    """Inside one p = 1.5 stage, the quotient of each accepted step whose full step passed
+    Armijo is the least of its trials, and so at most the full step's; on this disk the
+    parabola's trial both wins and loses."""
+    from finsler_spectra import eigensolve
+
+    grid = fs.rasterize(fs.shape(fs.euclidean_disk((0.0, 0.0), 1.0)), 1.0 / 16)
+    tri = eigensolve._triangulation(grid)
+    kkt = eigensolve._NewtonMatrix(tri)
+    norm = fs.euclidean()
+    events = []
+    evaluate, tangent = eigensolve._evaluate, eigensolve._tangent_gradient
+
+    def recorded_evaluate(*args):
+        out = evaluate(*args)
+        events.append(("trial", out[2]))
+        return out
+
+    def recorded_tangent(tri, p, v, r, terms):
+        events.append(("accepted", r))
+        return tangent(tri, p, v, r, terms)
+
+    class RecordedMatrix:
+        def data(self, *args):
+            return kkt.data(*args)
+
+        def step(self, data, mu, g):
+            d = kkt.step(data, mu, g)
+            events.append(("step", None if d is None else eigensolve._dot(g, d)))
+            return d
+
+    monkeypatch.setattr(eigensolve, "_evaluate", recorded_evaluate)
+    monkeypatch.setattr(eigensolve, "_tangent_gradient", recorded_tangent)
+    start = eigensolve._linear_p2(grid, norm, 1).u.values
+    _, lam, _, _, reason = eigensolve._newton_stage(tri, RecordedMatrix(), norm, 1.5, start, 1e-8, 100)
+    assert reason == "tol" and events[:2] == [("trial", events[1][1]), ("accepted", events[1][1])]
+    r, slope, trials, won, lost = events[1][1], None, [], 0, 0
+    for kind, value in events[2:]:
+        if kind == "step":
+            slope, trials = value, []
+        elif kind == "trial":
+            trials.append(value)
+        else:
+            if trials[0] <= r + 1e-4 * slope:   # the full step passed Armijo
+                assert len(trials) <= 2 and value == min(trials) <= trials[0]
+                won += len(trials) == 2 and value < trials[0]
+                lost += len(trials) == 2 and value == trials[0]
+            r = value
+    assert r == lam and won >= 2 and lost >= 1
+    monkeypatch.undo()
+    assert eigensolve._newton_stage(tri, kkt, norm, 1.5, start, 1e-8, 100)[1] == lam
 
 
 @pytest.fixture(scope="module")

@@ -644,6 +644,23 @@ def test_kept_rungs_give_the_lambda1_of_a_fresh_climb(monkeypatch, caplog, domai
         assert kept.to_dict() == fresh.to_dict() and kept.u.values.tobytes() == fresh.u.values.tobytes()
 
 
+def test_a_kept_rung_logs_one_debug_line_like_the_stage_that_ran(caplog):
+    from finsler_spectra.eigensolve import _exponent_ladder
+
+    caplog.set_level(logging.DEBUG, logger="finsler_spectra")
+    p_list = [2.0, 4.0, 8.0, 16.0, 32.0]
+    run(base_cfg(h=1.0 / 8, p_list=p_list))
+    ran = re.compile(r"newton stage p=(\S+) dofs=(\d+) steps=(\d+) .* stop=(\S+) residual=(\S+)$")
+    kept = re.compile(r"newton stage kept p=(\S+) dofs=(\d+) steps=(\d+) stop=(\S+) residual=(\S+)$")
+    messages = [r.getMessage() for r in caplog.records]
+    ran_lines = [m.groups() for m in map(ran.match, messages) if m]
+    kept_lines = [m.groups() for m in map(kept.match, messages) if m]
+    # the ladders [2], [2, 4], ..., [2, 4, 8, 16, 32]: each rung runs once, then is kept
+    assert len(ran_lines) == 5 and len(kept_lines) == 10
+    assert len(ran_lines) + len(kept_lines) == sum(len(_exponent_ladder(p)) for p in p_list)
+    assert set(kept_lines) == set(ran_lines[:4])
+
+
 def test_a_warm_solve_keeps_no_rung():
     from finsler_spectra import eigensolve
 
