@@ -557,7 +557,11 @@ def _linear_p2(grid: DomainGrid, norm: NormSpec, k: int) -> EigenResult:
 
 
 class _PartSolver:
-    """Caches lambda_1 sub-solves on part masks during a bipartition search."""
+    """Caches lambda_1 sub-solves on part masks during a bipartition search.
+
+    The cache is keyed by the mask alone: a repeated mask returns the first
+    result, whatever warm start either request gave.  ``requests`` counts
+    calls to solve and ``ran`` the solves that ran (a raising one is not kept)."""
 
     def __init__(self, grid: DomainGrid, norm: NormSpec, p: float, opts: SolverOptions):
         self.grid = grid
@@ -565,21 +569,35 @@ class _PartSolver:
         self.p = p
         self.opts = opts
         self.cache = {}
+        self.requests = self.ran = 0
 
     def solve(self, mask: np.ndarray, warm: Optional[np.ndarray] = None) -> EigenResult:
         """lambda_1 on mask, solved once; warm is a frame array (nx, ny) of start values."""
+        self.requests += 1
         key = mask.tobytes()
         if key not in self.cache:
+            self.ran += 1
             sub = self.grid.subgrid(mask)
             self.cache[key] = solve_lambda1(sub, self.norm, self.p, self.opts, initial=warm)
         return self.cache[key]
 
 
 def _greedy_refine(solver: _PartSolver, p1: np.ndarray, p2: np.ndarray):
-    """Move interface layers onto the side with larger lambda_1 while max drops."""
+    """Move interface layers onto the side with larger lambda_1 while max drops.
+
+    A sweep grows the side with the larger lambda_1 (the first part on a tie)
+    by its frontier and solves the shrunk side first: the pair's max is at
+    least that value, so a shrunk side that does not beat the best value
+    rejects the sweep alone.  A solve that raises ConvergenceError ends the
+    search at its best pair.  solver returns a repeated mask's first result,
+    whatever its warm start.  Returns (val, p1, p2, r1, r2, (start, sweeps,
+    accepted)): the given pair's value, the sweeps that requested a part
+    solve, and those that moved the interface.
+    """
     r1 = solver.solve(p1)
     r2 = solver.solve(p2)
-    val = max(r1.lam, r2.lam)
+    val = start = max(r1.lam, r2.lam)
+    sweeps = accepted = 0
     for _ in range(_MAX_SWEEPS):
         # values within 1e-12 are a tie (mirror-image parts), which grows the first part
         if r1.lam >= r2.lam * (1.0 - 1e-12):
@@ -591,23 +609,27 @@ def _greedy_refine(solver: _PartSolver, p1: np.ndarray, p2: np.ndarray):
         new_lo = lo & ~frontier
         if not new_lo.any():
             break
-        cand1, cand2 = (new_hi, new_lo) if hi_is_first else (new_lo, new_hi)
         warm = r1.u.as_grid_array() + r2.u.as_grid_array()
+        sweeps += 1
         try:
-            c1 = solver.solve(cand1, warm)
-            c2 = solver.solve(cand2, warm)
+            c_lo = solver.solve(new_lo, warm)
+            if not c_lo.lam < val * (1.0 - 1e-10):
+                break
+            c_hi = solver.solve(new_hi, warm)
         except ConvergenceError:
             break
-        new_val = max(c1.lam, c2.lam)
-        if new_val < val * (1.0 - 1e-10):
-            p1, p2, r1, r2, val = cand1, cand2, c1, c2, new_val
-        else:
+        new_val = max(c_lo.lam, c_hi.lam)
+        if not new_val < val * (1.0 - 1e-10):
             break
-    return val, p1, p2, r1, r2
+        accepted += 1
+        val = new_val
+        p1, p2, r1, r2 = (new_hi, new_lo, c_hi, c_lo) if hi_is_first else (new_lo, new_hi, c_lo, c_hi)
+    return val, p1, p2, r1, r2, (start, sweeps, accepted)
 
 
-def _split_candidates(grid: DomainGrid, norm: NormSpec) -> List[Tuple[np.ndarray, np.ndarray]]:
-    cands = []
+def _split_candidates(grid: DomainGrid, norm: NormSpec) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
+    """The nodal and packing splits of grid that have two nonempty parts, by name, in that order."""
+    cands = {}
     # nodal split of the p=2 second eigenfunction
     try:
         arr = _linear_p2(grid, _p2_stand_in(norm), 2).u.as_grid_array()
@@ -618,7 +640,7 @@ def _split_candidates(grid: DomainGrid, norm: NormSpec) -> List[Tuple[np.ndarray
         pos = (arr > t) & grid.mask
         neg = (arr < -t) & grid.mask
         if pos.any() and neg.any():
-            cands.append((pos, neg))
+            cands["nodal"] = pos, neg
     # split along the polar-distance bisector of the two packing centers
     dfield = _distance.distance_transform(grid, norm)
     if grid.interior_count >= 2:
@@ -632,7 +654,7 @@ def _split_candidates(grid: DomainGrid, norm: NormSpec) -> List[Tuple[np.ndarray
         side1[grid.mask] = d1 <= d2
         side2 = grid.mask & ~side1
         if side1.any() and side2.any():
-            cands.append((side1, side2))
+            cands["packing"] = side1, side2
     return cands
 
 
@@ -646,17 +668,26 @@ def _lambda2_connected(grid, norm, p, opts):
     (Euclidean, p=2) it lies below the 5-point lambda_2, 5.4% at h=1/16
     (see the FOUND line on `solve_lambda2` in CHANGES.md and the
     benchmark's kept failure `lambda2_square_p2`).
+
+    The search logs one DEBUG line: p, dofs, each candidate's start value,
+    sweeps run and accepted and refined value (or why it was dropped), the
+    part-solve requests, cache hits and solves that ran, and the winner.
     """
     solver = _PartSolver(grid, norm, p, opts)
-    best = None
-    for p1, p2 in _split_candidates(grid, norm):
+    best, winner, notes = None, "none", []
+    for name, (p1, p2) in _split_candidates(grid, norm).items():
         try:
-            cand = _greedy_refine(solver, p1, p2)
+            *cand, (start, sweeps, accepted) = _greedy_refine(solver, p1, p2)
         except ConvergenceError as exc:
             log.warning("bipartition candidate dropped: %s: %s", type(exc).__name__, exc)
+            notes.append(f"{name} dropped {type(exc).__name__}: {exc}")
             continue
+        notes.append(f"{name} start={start!r} sweeps={sweeps} accepted={accepted} value={cand[0]!r}")
         if best is None or cand[0] < best[0]:
-            best = cand
+            best, winner = tuple(cand), name
+    log.debug("lambda2 search p=%g dofs=%d; %s; part solves requests=%d hits=%d ran=%d; winner=%s",
+              p, grid.interior_count, "; ".join(notes) or "no candidate", solver.requests,
+              solver.requests - solver.ran, solver.ran, winner)
     if best is None:
         raise ConvergenceError("no admissible bipartition candidate was found")
     return best

@@ -39,6 +39,8 @@ P_LIMIT_GAP = 0.2          # admissible asymptotic gap at the largest exponent
 DUALITY_TOL = 1e-8
 DISTANCE_IDENTITY_TOL = 0.05
 EIKONAL_BULK_FRACTION = 0.95
+# experiments that split the domain or pack two shapes in it need two interior nodes
+_TWO_NODES = ("lambda2", "hks", "p_limit", "distance")
 
 
 @dataclass(frozen=True)
@@ -52,6 +54,8 @@ class ExperimentConfig:
     tolerance: float = DEFAULT_TOLERANCE
     samples: int = 100
     out: Optional[str] = None
+    # the domain rasterized at h, once, for the runner
+    grid: DomainGrid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.experiment, str) or self.experiment not in _RUNNERS:
@@ -79,6 +83,16 @@ class ExperimentConfig:
             raise ValueError("p_list must be nonempty for eigenvalue experiments")
         if self.experiment == "p_limit" and any(a >= b for a, b in zip(self.p_list, self.p_list[1:])):
             raise ValueError(f"p_list must be strictly increasing for p_limit, got {list(self.p_list)}")
+        # every frame is checked: the domain can be rasterized without a large allocation
+        need = 2 if self.experiment in _TWO_NODES else 1
+        try:
+            object.__setattr__(self, "grid", rasterize(self.domain, self.h))
+            count = self.grid.interior_count
+        except ValueError:  # no interior node
+            count = 0
+        if count < need:
+            raise ValueError(f"domain has {count} interior node(s) at h={self.h}; "
+                             f"{self.experiment} needs at least {need}")
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
@@ -177,7 +191,7 @@ def _solve(label: str, solve, grid: DomainGrid, cfg: ExperimentConfig, p: float)
 
 def run_lambda1(cfg: ExperimentConfig) -> Report:
     rep = Report("lambda1", cfg.echo())
-    grid = rasterize(cfg.domain, cfg.h)
+    grid = cfg.grid
     for p in cfg.p_list:
         rec = _solve("lambda1", eig.solve_lambda1, grid, cfg, p).to_dict()
         rec["measure"] = measure(grid)
@@ -187,7 +201,7 @@ def run_lambda1(cfg: ExperimentConfig) -> Report:
 
 def run_lambda2(cfg: ExperimentConfig) -> Report:
     rep = Report("lambda2", cfg.echo())
-    grid = rasterize(cfg.domain, cfg.h)
+    grid = cfg.grid
     h2 = cfg.h ** 2
     for p in cfg.p_list:
         r = _solve("lambda2", eig.solve_lambda2, grid, cfg, p)
@@ -212,7 +226,7 @@ def run_faber_krahn(cfg: ExperimentConfig) -> Report:
     """
     rep = Report("faber_krahn", cfg.echo())
     kappa = wulff_measure(cfg.norm)
-    grid = rasterize(cfg.domain, cfg.h)
+    grid = cfg.grid
     grid_w = rasterize(unit_wulff_spec(cfg.norm), cfg.h)
     area = measure(grid)
     area_w = measure(grid_w)
@@ -240,7 +254,7 @@ def run_hks(cfg: ExperimentConfig) -> Report:
     """
     rep = Report("hks", cfg.echo())
     kappa = wulff_measure(cfg.norm)
-    grid = rasterize(cfg.domain, cfg.h)
+    grid = cfg.grid
     area = measure(grid)
     radius = float(np.sqrt(0.5 * area / kappa))
     grid_ref = rasterize(unit_wulff_spec(cfg.norm, radius), cfg.h)
@@ -264,7 +278,7 @@ def run_hks(cfg: ExperimentConfig) -> Report:
 def run_p_limit(cfg: ExperimentConfig) -> Report:
     """lambda^{1/p} against the inradius reciprocals along an increasing p list."""
     rep = Report("p_limit", cfg.echo())
-    grid = rasterize(cfg.domain, cfg.h)
+    grid = cfg.grid
     dfield = dist.distance_transform(grid, cfg.norm)
     rho_f, _ = dist.inradius(dfield)
     rho2 = dist.two_wulff_radius(dfield, cfg.norm).rho2
@@ -293,7 +307,7 @@ def run_p_limit(cfg: ExperimentConfig) -> Report:
 def run_distance(cfg: ExperimentConfig) -> Report:
     """Distance transform, inradii and the sup-norm Rayleigh identity."""
     rep = Report("distance", cfg.echo())
-    grid = rasterize(cfg.domain, cfg.h)
+    grid = cfg.grid
     dfield = dist.distance_transform(grid, cfg.norm)
     rho_f, argmax = dist.inradius(dfield)
     rho2 = dist.two_wulff_radius(dfield, cfg.norm).rho2

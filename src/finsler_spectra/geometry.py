@@ -85,8 +85,8 @@ class ShapePrimitive:
                 raise ValueError(f"rectangle needs x1 > x0, got x0={self.x0}, x1={self.x1}")
             if not self.y1 > self.y0:
                 raise ValueError(f"rectangle needs y1 > y0, got y0={self.y0}, y1={self.y1}")
-        elif not 0.0 <= self.radius < np.inf:
-            raise ValueError(f"{self.kind} radius must be finite and >= 0, got {self.radius}")
+        elif not 0.0 < self.radius < np.inf:
+            raise ValueError(f"{self.kind} radius must be finite and positive, got {self.radius}")
 
     def scaled(self, t: float) -> "ShapePrimitive":
         return replace(

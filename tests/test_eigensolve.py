@@ -324,7 +324,7 @@ def test_lambda1_p32_from_four_starts_on_the_nodal_half(monkeypatch, family):
 
     norm = ALL_NORMS[family]
     square = fs.rasterize(unit_square_spec(), 1.0 / 32)
-    (half, _), _ = eigensolve._split_candidates(square, norm)
+    (half, _), _ = eigensolve._split_candidates(square, norm).values()
     grid = square.subgrid(half)
     oracle = eigensolve._linear_p2
     lams = []
@@ -391,7 +391,7 @@ def test_lambda2_drops_nodal_candidate_when_oracle_fails(monkeypatch, caplog):
 
     grid = fs.rasterize(unit_square_spec(), 1.0 / 12)
     norm = fs.euclidean()
-    nodal, packing = eigensolve._split_candidates(grid, norm)
+    nodal, packing = eigensolve._split_candidates(grid, norm).values()
     oracle = eigensolve.solve_linear_p2
 
     def failing_oracle(g, n, k):
@@ -460,7 +460,7 @@ def test_lambda2_drops_a_candidate_whose_refinement_raises(monkeypatch, caplog):
 
     grid = fs.rasterize(unit_square_spec(), 1.0 / 12)
     norm = fs.euclidean()
-    nodal, packing = eigensolve._split_candidates(grid, norm)
+    nodal, packing = eigensolve._split_candidates(grid, norm).values()
     expected = eigensolve._greedy_refine(eigensolve._PartSolver(grid, norm, 2.0, SolverOptions()),
                                          *packing)[0]
     _fail_on_masks(monkeypatch, [nodal[0]])
@@ -476,11 +476,63 @@ def test_lambda2_raises_when_every_candidate_raises(monkeypatch, caplog):
 
     grid = fs.rasterize(unit_square_spec(), 1.0 / 12)
     norm = fs.euclidean()
-    _fail_on_masks(monkeypatch, [p1 for p1, _ in eigensolve._split_candidates(grid, norm)])
+    _fail_on_masks(monkeypatch, [p1 for p1, _ in eigensolve._split_candidates(grid, norm).values()])
     with caplog.at_level("WARNING", logger="finsler_spectra.eigensolve"):
         with pytest.raises(fs.ConvergenceError, match="no admissible bipartition candidate was found"):
             fs.solve_lambda2(grid, norm, 2.0)
     assert [r.getMessage().split(":")[0] for r in caplog.records] == ["bipartition candidate dropped"] * 2
+
+
+_SEARCH_LINE = re.compile(r"lambda2 search p=(\S+) dofs=(\d+); (.*); part solves requests=(\d+) "
+                          r"hits=(\d+) ran=(\d+); winner=(\w+)$")
+_CANDIDATE = re.compile(r"(\w+) (?:start=(\S+) sweeps=(\d+) accepted=(\d+) value=(\S+)|dropped (.+))$")
+
+
+def _search_lines(caplog):
+    lines = [_SEARCH_LINE.match(r.getMessage()) for r in caplog.records
+             if r.getMessage().startswith("lambda2 search")]
+    assert all(lines)
+    return [(m, [_CANDIDATE.match(c).groups() for c in m[3].split("; ")]) for m in lines]
+
+
+def test_lambda2_search_logs_one_debug_line(monkeypatch, caplog):
+    from finsler_spectra import eigensolve
+
+    grid = fs.rasterize(unit_square_spec(), 1.0 / 12)
+    norm = fs.euclidean()
+    solve, requests = eigensolve._PartSolver.solve, []
+
+    def counted(self, mask, warm=None):
+        requests.append(mask)
+        return solve(self, mask, warm)
+
+    monkeypatch.setattr(eigensolve._PartSolver, "solve", counted)
+    with caplog.at_level(logging.DEBUG, logger="finsler_spectra.eigensolve"):
+        b = fs.solve_lambda2(grid, norm, 3.0)
+    ((line, cands),) = _search_lines(caplog)
+    assert float(line[1]) == 3.0 and int(line[2]) == grid.interior_count
+    assert [c[0] for c in cands] == ["nodal", "packing"]
+    for name, start, sweeps, accepted, value, dropped in cands:
+        assert dropped is None and 0 <= int(accepted) <= int(sweeps) <= eigensolve._MAX_SWEEPS
+        assert float(value) <= float(start)
+    requested, hits, ran = map(int, line.group(4, 5, 6))
+    assert requested == len(requests) == hits + ran and ran > 0
+    (won,) = [c for c in cands if c[0] == line[7]]
+    assert float(won[4]) == b.lambda2 == min(float(c[4]) for c in cands)
+
+
+def test_lambda2_search_line_names_a_dropped_candidate(monkeypatch, caplog):
+    from finsler_spectra import eigensolve
+
+    grid = fs.rasterize(unit_square_spec(), 1.0 / 12)
+    norm = fs.euclidean()
+    nodal, packing = eigensolve._split_candidates(grid, norm).values()
+    _fail_on_masks(monkeypatch, [nodal[0]])
+    with caplog.at_level(logging.DEBUG, logger="finsler_spectra.eigensolve"):
+        b = fs.solve_lambda2(grid, norm, 2.0)
+    ((line, cands),) = _search_lines(caplog)
+    assert cands[0][0] == "nodal" and cands[0][5].startswith("ConvergenceError: lambda_1 solve")
+    assert cands[1][0] == "packing" and float(cands[1][4]) == b.lambda2 and line[7] == "packing"
 
 
 class _ScriptedParts:
@@ -498,18 +550,25 @@ class _ScriptedParts:
                                u=SimpleNamespace(as_grid_array=lambda: np.zeros(mask.shape)))
 
 
+def _halves(grid):
+    p1 = grid.mask.copy()
+    p1[grid.mask.shape[0] // 2:] = False
+    return p1, grid.mask & ~p1
+
+
 def test_interface_search_stops_at_its_best_when_a_part_solve_raises():
-    # the first sweep improves 10 -> 9; the second sweep's second part solve raises
+    # the first sweep improves 10 -> 9; in the second, the shrunk side (8.5) does not
+    # reject the sweep, and the solve of the grown side raises
     from finsler_spectra import eigensolve
 
     grid = fs.rasterize(unit_square_spec(), 1.0 / 8)
-    p1 = grid.mask.copy()
-    p1[grid.mask.shape[0] // 2:] = False
     solver = _ScriptedParts(grid, [10.0, 8.0, 9.0, 9.0, 8.5])
-    val, q1, q2, r1, r2 = eigensolve._greedy_refine(solver, p1, grid.mask & ~p1)
+    val, q1, q2, r1, r2, stats = eigensolve._greedy_refine(solver, *_halves(grid))
     assert len(solver.masks) == 6
     assert val == 9.0 and (r1.lam, r2.lam) == (9.0, 9.0)
-    assert q1 is solver.masks[2] and q2 is solver.masks[3]
+    # the first sweep grew part 1 and solved the shrunk part 2 first
+    assert q1 is solver.masks[3] and q2 is solver.masks[2]
+    assert stats == (10.0, 2, 1)
 
 
 @pytest.mark.parametrize("ratio", [1.0 + 1e-15, 1.0 - 1e-15])
@@ -517,16 +576,71 @@ def test_interface_search_grows_the_first_part_on_a_tie(ratio):
     from finsler_spectra import eigensolve
 
     grid = fs.rasterize(unit_square_spec(), 1.0 / 8)
-    p1 = grid.mask.copy()
-    p1[grid.mask.shape[0] // 2:] = False
-    p2 = grid.mask & ~p1
-    # the first two parts have lambda_1 equal up to ratio; the grown pair is worse,
-    # so the interface search stops after one sweep
-    solver = _ScriptedParts(grid, [10.0, 10.0 * ratio, 20.0, 20.0])
-    val, *_ = eigensolve._greedy_refine(solver, p1, p2)
+    p1, p2 = _halves(grid)
+    # the first two parts have lambda_1 equal up to ratio; the shrunk second part is
+    # worse, so the interface search stops after one sweep, without solving the grown one
+    solver = _ScriptedParts(grid, [10.0, 10.0 * ratio, 20.0])
+    val, *_, stats = eigensolve._greedy_refine(solver, p1, p2)
     grown = p1 | (ndimage.binary_dilation(p1, structure=eigensolve._FOUR) & grid.mask)
-    assert len(solver.masks) == 4 and val == max(10.0, 10.0 * ratio)
-    assert np.array_equal(solver.masks[2], grown) and np.array_equal(solver.masks[3], p2 & ~grown)
+    assert len(solver.masks) == 3 and val == max(10.0, 10.0 * ratio)
+    assert np.array_equal(solver.masks[2], p2 & ~grown)
+    assert stats == (val, 1, 0)
+
+
+def test_a_rejected_sweep_requests_only_the_shrunk_part():
+    from finsler_spectra import eigensolve
+
+    grid = fs.rasterize(unit_square_spec(), 1.0 / 8)
+    p1, p2 = _halves(grid)
+    # part 2 (8) is below part 1 (10), so part 1 grows; the shrunk part 2 rises to 12,
+    # which no grown part 1 can bring below 10, so the 5 for a grown part is never asked for
+    solver = _ScriptedParts(grid, [10.0, 8.0, 12.0, 5.0])
+    val, q1, q2, *_ = eigensolve._greedy_refine(solver, p1, p2)
+    frontier = ndimage.binary_dilation(p1, structure=eigensolve._FOUR) & grid.mask & ~p1
+    assert len(solver.masks) == 3 and np.array_equal(solver.masks[2], p2 & ~frontier)
+    assert val == 10.0 and q1 is p1 and q2 is p2
+
+
+def _two_solve_refine(solver, p1, p2):
+    """The interface search that solves both parts of every sweep before deciding it."""
+    from finsler_spectra import eigensolve
+
+    r1, r2 = solver.solve(p1), solver.solve(p2)
+    val = max(r1.lam, r2.lam)
+    for _ in range(eigensolve._MAX_SWEEPS):
+        grow_first = r1.lam >= r2.lam * (1.0 - 1e-12)
+        hi, lo = (p1, p2) if grow_first else (p2, p1)
+        frontier = ndimage.binary_dilation(hi, structure=eigensolve._FOUR) & solver.grid.mask & ~hi
+        if not (lo & ~frontier).any():
+            break
+        cand = (hi | frontier, lo & ~frontier) if grow_first else (lo & ~frontier, hi | frontier)
+        warm = r1.u.as_grid_array() + r2.u.as_grid_array()
+        try:
+            c1, c2 = solver.solve(cand[0], warm), solver.solve(cand[1], warm)
+        except fs.ConvergenceError:
+            break
+        if not max(c1.lam, c2.lam) < val * (1.0 - 1e-10):
+            break
+        (p1, p2), r1, r2, val = cand, c1, c2, max(c1.lam, c2.lam)
+    return val, p1, p2
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+@pytest.mark.parametrize("family", sorted(ALL_NORMS))
+@pytest.mark.parametrize("spec", [unit_square_spec(), lshape_spec(), fs.shape(fs.euclidean_disk((0.0, 0.0), 0.5))],
+                         ids=["square", "lshape", "disk"])
+def test_interface_search_matches_the_two_solve_search_with_fewer_requests(spec, family, p):
+    from finsler_spectra import eigensolve
+
+    grid = fs.rasterize(spec, 1.0 / 8)
+    norm = ALL_NORMS[family]
+    for p1, p2 in eigensolve._split_candidates(grid, norm).values():
+        ours = eigensolve._PartSolver(grid, norm, p, SolverOptions())
+        ref = eigensolve._PartSolver(grid, norm, p, SolverOptions())
+        val, q1, q2, *_ = eigensolve._greedy_refine(ours, p1, p2)
+        ref_val, ref_q1, ref_q2 = _two_solve_refine(ref, p1, p2)
+        assert val == ref_val and np.array_equal(q1, ref_q1) and np.array_equal(q2, ref_q2)
+        assert ours.requests < ref.requests
 
 
 def _relative_gap(a, b):

@@ -78,6 +78,7 @@ def test_config_rejects_a_grid_above_the_node_limit_at_parse_time(monkeypatch):
     monkeypatch.setattr(experiments, "rasterize", no_rasterize)
     with pytest.raises(ValueError, match=r"h=1e-07 gives a \d+ x \d+ node grid"):
         base_cfg(h=1e-7)
+    monkeypatch.undo()  # a config that parses is rasterized once, for its interior node count
     assert base_cfg(h=1.0 / 256).h == 1.0 / 256
 
 
@@ -97,11 +98,12 @@ def test_config_rejects_a_reference_shape_above_the_node_limit_at_parse_time(mon
     # hks rasterizes a Wulff shape of half the domain's measure: inside the tiny
     # square's frame area for the Euclidean norm, but not for a strongly
     # anisotropic one, whose shape's frame is a square around its long axis
-    assert base_cfg(experiment="hks", domain=tiny, h=1e-4).h == 1e-4
     aniso = {"family": "weighted_quadratic", "a1": 100.0, "a2": 1.0}
-    assert base_cfg(experiment="lambda1", norm=aniso, h=1e-3).h == 1e-3
     with pytest.raises(ValueError, match=r"h=0.001 gives a 2541 x 2541 node grid"):
         base_cfg(experiment="hks", norm=aniso, h=1e-3)
+    monkeypatch.undo()  # a config that parses is rasterized once, for its interior node count
+    assert base_cfg(experiment="hks", domain=tiny, h=1e-4).h == 1e-4
+    assert base_cfg(experiment="lambda1", norm=aniso, h=1e-3).h == 1e-3
     # the acceptance matrix still parses
     for spec in (unit_square_spec(), lshape_spec(), rect21_spec(), two_disk_spec(1.0, 0.75, 3.0)):
         for norm in ALL_NORMS.values():
@@ -245,6 +247,34 @@ def test_cli_run_refuses_a_bad_config_with_exit_code_2(tmp_path, capsys, text, n
     (line,) = captured.err.splitlines()
     assert line.startswith("finsler-spectra: ") and named in line and "Traceback" not in line
     assert captured.out == "" and not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("over, named", [
+    ({"domain": [{"type": "euclidean_disk", "center": [0.0, 0.0], "radius": 0.0}]}, ["radius"]),
+    ({"h": 10.0}, ["domain has 0 interior node(s) at h=10.0"]),
+    ({"experiment": "lambda2", "h": 0.5}, ["domain has 1 interior node(s) at h=0.5", "lambda2"]),
+], ids=["zero-radius-disk", "no-node", "one-node-lambda2"])
+def test_cli_run_refuses_an_empty_or_too_small_domain_with_exit_code_2(tmp_path, capsys, over, named):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_valid_config(**over)))
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert line.startswith("finsler-spectra: ") and all(n in line for n in named)
+    assert captured.out == "" and not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("experiment", ["lambda1", "lambda2", "faber_krahn", "hks", "p_limit",
+                                        "distance", "duality"])
+def test_config_needs_two_interior_nodes_to_split_or_pack(experiment):
+    # the unit square at h = 1/2 has one interior node, its centre
+    two = experiment in ("lambda2", "hks", "p_limit", "distance")
+    if two:
+        with pytest.raises(ValueError, match=rf"domain has 1 interior node\(s\) at h=0.5; {experiment} needs at least 2"):
+            base_cfg(experiment=experiment, h=0.5)
+    else:
+        assert base_cfg(experiment=experiment, h=0.5).grid.interior_count == 1
+    assert base_cfg(experiment=experiment, h=1.0 / 4).grid.interior_count == 9
 
 
 def test_debug_log_leaves_distance_report_unchanged(tmp_path, monkeypatch, capsys):

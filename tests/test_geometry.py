@@ -135,7 +135,7 @@ def test_wulff_raster_matches_shape_membership():
     assert fs.measure(g) == pytest.approx(2 * np.pi, abs=0.25)
 
 
-@pytest.mark.parametrize("radius", [-0.5, float("nan")])
+@pytest.mark.parametrize("radius", [-0.5, 0.0, float("nan")])
 def test_disk_and_wulff_reject_bad_radius(radius):
     with pytest.raises(ValueError, match="radius"):
         fs.euclidean_disk((0.0, 0.0), radius)
