@@ -556,46 +556,39 @@ def _linear_p2(grid: DomainGrid, norm: NormSpec, k: int) -> EigenResult:
     return solve_linear_p2(grid, norm, k) if pairs is None else pairs.result(k)
 
 
-class _PartSolver:
-    """Caches lambda_1 sub-solves on part masks during a bipartition search.
+def _part_solver(grid: DomainGrid, norm: NormSpec, p: float, opts: SolverOptions):
+    """solve(mask, warm=None), lambda_1 on a part mask of grid solved once, and its counts.
 
-    The cache is keyed by the mask alone: a repeated mask returns the first
-    result, whatever warm start either request gave.  ``requests`` counts
-    calls to solve and ``ran`` the solves that ran (a raising one is not kept)."""
+    Results are kept by the mask alone for one bipartition search: a repeated
+    mask returns the first result, whatever warm start (a frame array (nx, ny)
+    of start values) either request gave.  counts["requests"] counts calls and
+    counts["ran"] the solves that ran (a raising one is not kept)."""
+    kept, counts = {}, Counter()
 
-    def __init__(self, grid: DomainGrid, norm: NormSpec, p: float, opts: SolverOptions):
-        self.grid = grid
-        self.norm = norm
-        self.p = p
-        self.opts = opts
-        self.cache = {}
-        self.requests = self.ran = 0
-
-    def solve(self, mask: np.ndarray, warm: Optional[np.ndarray] = None) -> EigenResult:
-        """lambda_1 on mask, solved once; warm is a frame array (nx, ny) of start values."""
-        self.requests += 1
+    def solve(mask: np.ndarray, warm: Optional[np.ndarray] = None) -> EigenResult:
+        counts["requests"] += 1
         key = mask.tobytes()
-        if key not in self.cache:
-            self.ran += 1
-            sub = self.grid.subgrid(mask)
-            self.cache[key] = solve_lambda1(sub, self.norm, self.p, self.opts, initial=warm)
-        return self.cache[key]
+        if key not in kept:
+            counts["ran"] += 1
+            kept[key] = solve_lambda1(grid.subgrid(mask), norm, p, opts, initial=warm)
+        return kept[key]
+
+    return solve, counts
 
 
-def _greedy_refine(solver: _PartSolver, p1: np.ndarray, p2: np.ndarray):
+def _greedy_refine(grid: DomainGrid, solve, p1: np.ndarray, p2: np.ndarray):
     """Move interface layers onto the side with larger lambda_1 while max drops.
 
     A sweep grows the side with the larger lambda_1 (the first part on a tie)
     by its frontier and solves the shrunk side first: the pair's max is at
     least that value, so a shrunk side that does not beat the best value
     rejects the sweep alone.  A solve that raises ConvergenceError ends the
-    search at its best pair.  solver returns a repeated mask's first result,
-    whatever its warm start.  Returns (val, p1, p2, r1, r2, (start, sweeps,
-    accepted)): the given pair's value, the sweeps that requested a part
-    solve, and those that moved the interface.
+    search at its best pair.  solve (see _part_solver) returns a repeated
+    mask's first result, whatever its warm start.  Returns (val, p1, p2, r1,
+    r2, (start, sweeps, accepted)): the given pair's value, the sweeps that
+    requested a part solve, and those that moved the interface.
     """
-    r1 = solver.solve(p1)
-    r2 = solver.solve(p2)
+    r1, r2 = solve(p1), solve(p2)
     val = start = max(r1.lam, r2.lam)
     sweeps = accepted = 0
     for _ in range(_MAX_SWEEPS):
@@ -604,7 +597,7 @@ def _greedy_refine(solver: _PartSolver, p1: np.ndarray, p2: np.ndarray):
             hi, lo, hi_is_first = p1, p2, True
         else:
             hi, lo, hi_is_first = p2, p1, False
-        frontier = ndimage.binary_dilation(hi, structure=_FOUR) & solver.grid.mask & ~hi
+        frontier = ndimage.binary_dilation(hi, structure=_FOUR) & grid.mask & ~hi
         new_hi = hi | frontier
         new_lo = lo & ~frontier
         if not new_lo.any():
@@ -612,10 +605,10 @@ def _greedy_refine(solver: _PartSolver, p1: np.ndarray, p2: np.ndarray):
         warm = r1.u.as_grid_array() + r2.u.as_grid_array()
         sweeps += 1
         try:
-            c_lo = solver.solve(new_lo, warm)
+            c_lo = solve(new_lo, warm)
             if not c_lo.lam < val * (1.0 - 1e-10):
                 break
-            c_hi = solver.solve(new_hi, warm)
+            c_hi = solve(new_hi, warm)
         except ConvergenceError:
             break
         new_val = max(c_lo.lam, c_hi.lam)
@@ -660,24 +653,18 @@ def _split_candidates(grid: DomainGrid, norm: NormSpec) -> Dict[str, Tuple[np.nd
 
 def _lambda2_connected(grid, norm, p, opts):
     """Best refined nodal or packing split of a connected grid, as
-    (lambda2, part1, part2, result1, result2).
-
-    Each candidate is max(lambda_1(A), lambda_1(B)) over node-disjoint parts.
-    The parts still share the triangles between them, so this is not a
-    certified upper bound of the discrete lambda_2: on the unit square
-    (Euclidean, p=2) it lies below the 5-point lambda_2, 5.4% at h=1/16
-    (see the FOUND line on `solve_lambda2` in CHANGES.md and the
-    benchmark's kept failure `lambda2_square_p2`).
-
-    The search logs one DEBUG line: p, dofs, each candidate's start value,
-    sweeps run and accepted and refined value (or why it was dropped), the
-    part-solve requests, cache hits and solves that ran, and the winner.
+    (lambda2, part1, part2, result1, result2), or None when every candidate
+    was dropped.  Each candidate is max(lambda_1(A), lambda_1(B)) over
+    node-disjoint parts.  The search logs one DEBUG line: p, dofs, each
+    candidate's start value, sweeps run and accepted and refined value (or
+    why it was dropped), the part-solve requests, repeated-mask hits and
+    solves that ran, and the winner.
     """
-    solver = _PartSolver(grid, norm, p, opts)
+    solve, counts = _part_solver(grid, norm, p, opts)
     best, winner, notes = None, "none", []
     for name, (p1, p2) in _split_candidates(grid, norm).items():
         try:
-            *cand, (start, sweeps, accepted) = _greedy_refine(solver, p1, p2)
+            *cand, (start, sweeps, accepted) = _greedy_refine(grid, solve, p1, p2)
         except ConvergenceError as exc:
             log.warning("bipartition candidate dropped: %s: %s", type(exc).__name__, exc)
             notes.append(f"{name} dropped {type(exc).__name__}: {exc}")
@@ -686,10 +673,8 @@ def _lambda2_connected(grid, norm, p, opts):
         if best is None or cand[0] < best[0]:
             best, winner = tuple(cand), name
     log.debug("lambda2 search p=%g dofs=%d; %s; part solves requests=%d hits=%d ran=%d; winner=%s",
-              p, grid.interior_count, "; ".join(notes) or "no candidate", solver.requests,
-              solver.requests - solver.ran, solver.ran, winner)
-    if best is None:
-        raise ConvergenceError("no admissible bipartition candidate was found")
+              p, grid.interior_count, "; ".join(notes) or "no candidate", counts["requests"],
+              counts["requests"] - counts["ran"], counts["ran"], winner)
     return best
 
 
@@ -701,31 +686,35 @@ def solve_lambda2(
 ) -> BipartitionResult:
     """lambda_2 as the best max(lambda_1, lambda_1) over disjoint sub-domain pairs.
 
-    Disconnected sets: component pairs, then second eigenvalues within any
-    component whose lambda_1 could still beat the best pair.  Connected sets:
-    nodal and packing splits refined by the greedy interface descent.  A
-    candidate whose solve raises ConvergenceError is dropped with a warning.
+    The candidates are the component pairs of a disconnected set, the first
+    least one starting the search, and the refined nodal and packing splits
+    of each component (see _lambda2_connected) whose lambda_1 could still
+    beat the best value; a connected set is its own one component.  A
+    candidate whose solve raises ConvergenceError is dropped with a warning,
+    and a component whose splits are all dropped gives none; only when no
+    candidate is left does ConvergenceError reach the caller.
 
     The result is not a certified upper bound of the discrete lambda_2:
-    node-disjoint parts of a connected grid share triangles, and the value
-    falls below the 5-point lambda_2 on the unit square (see
-    `_lambda2_connected`).
+    node-disjoint parts still share the triangles between them, and on the
+    unit square (Euclidean, p=2) the value lies below the 5-point lambda_2,
+    5.4% at h=1/16 (see the FOUND line on `solve_lambda2` in CHANGES.md and
+    the benchmark's kept failure `lambda2_square_p2`).
     """
     if grid.interior_count < 2:
         raise ValueError("solve_lambda2 needs at least two interior nodes")
     comps = components(grid)
-    if len(comps) == 1:
-        best = _lambda2_connected(grid, norm, p, opts)
-    else:
-        firsts = [solve_lambda1(c, norm, p, opts) for c in comps]
-        i, j = min(itertools.combinations(range(len(comps)), 2),  # the first least pair
-                   key=lambda ij: max(firsts[ij[0]].lam, firsts[ij[1]].lam))
-        best = (max(firsts[i].lam, firsts[j].lam), comps[i].mask, comps[j].mask, firsts[i], firsts[j])
-        for i, comp in enumerate(comps):
-            if firsts[i].lam < best[0] * (1.0 - 1e-12):
-                sub = _lambda2_connected(comp, norm, p, opts)
-                if sub[0] < best[0]:
-                    best = sub
+    # a connected set has no component pair, so its lambda_1 is never needed
+    firsts = [solve_lambda1(c, norm, p, opts) for c in comps] if len(comps) > 1 else [None]
+    pairs = ((max(a.lam, b.lam), ca.mask, cb.mask, a, b)
+             for (ca, a), (cb, b) in itertools.combinations(zip(comps, firsts), 2))
+    best = min(pairs, key=lambda cand: cand[0], default=None)  # the first least pair
+    for comp, first in zip(comps, firsts):
+        if best is None or first.lam < best[0] * (1.0 - 1e-12):
+            sub = _lambda2_connected(comp, norm, p, opts)
+            if sub is not None and (best is None or sub[0] < best[0]):
+                best = sub
+    if best is None:
+        raise ConvergenceError("no admissible bipartition candidate was found")
     val, m1, m2, r1, r2 = best
     return BipartitionResult(
         lambda2=val, part1=m1, part2=m2,

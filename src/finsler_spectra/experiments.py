@@ -54,8 +54,9 @@ class ExperimentConfig:
     tolerance: float = DEFAULT_TOLERANCE
     samples: int = 100
     out: Optional[str] = None
-    # the domain rasterized at h, once, for the runner
+    # the domain and the reference shape (see _reference_radius), rasterized at h once
     grid: DomainGrid = field(init=False, repr=False, compare=False)
+    reference: Optional[DomainGrid] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.experiment, str) or self.experiment not in _RUNNERS:
@@ -71,14 +72,10 @@ class ExperimentConfig:
         if self.out is not None and not isinstance(self.out, str):
             raise ValueError(f"out must be a path string or null, got {self.out!r}")
         _, nx, ny = _grid_frame(self.domain, self.h)  # rejects a frame above MAX_GRID_NODES
-        # the reference shape a runner rasterizes at the same h: the unit Wulff shape, or
-        # for hks one of half the domain's measure, bounded here by the frame's area
-        if self.experiment == "faber_krahn":
-            _grid_frame(unit_wulff_spec(self.norm), self.h)
-        elif self.experiment == "hks":
-            area = nx * ny * self.h ** 2
-            _grid_frame(unit_wulff_spec(self.norm, math.sqrt(0.5 * area / wulff_measure(self.norm))),
-                        self.h)
+        # the reference shape's frame, for hks bounded by the domain frame's area
+        radius = _reference_radius(self, nx * ny * self.h ** 2)
+        if radius is not None:
+            _grid_frame(unit_wulff_spec(self.norm, radius), self.h)
         if self.experiment not in ("distance", "duality") and not self.p_list:
             raise ValueError("p_list must be nonempty for eigenvalue experiments")
         if self.experiment == "p_limit" and any(a >= b for a, b in zip(self.p_list, self.p_list[1:])):
@@ -93,6 +90,13 @@ class ExperimentConfig:
         if count < need:
             raise ValueError(f"domain has {count} interior node(s) at h={self.h}; "
                              f"{self.experiment} needs at least {need}")
+        radius = _reference_radius(self, measure(self.grid))
+        try:
+            object.__setattr__(self, "reference", None if radius is None else
+                               rasterize(unit_wulff_spec(self.norm, radius), self.h))
+        except ValueError:  # no interior node
+            raise ValueError(f"reference shape (the Wulff shape of radius {radius:.6g}) has no interior "
+                             f"node at h={self.h}; {self.experiment} solves lambda_1 on it") from None
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
@@ -181,6 +185,14 @@ def unit_wulff_spec(norm: NormSpec, radius: float = 1.0) -> ShapeSpec:
     return shape(wulff((0.0, 0.0), radius, norm))
 
 
+def _reference_radius(cfg: ExperimentConfig, area: float) -> Optional[float]:
+    """Radius of the Wulff shape that cfg's runner solves beside a domain of measure area:
+    1 for faber_krahn, that of half the measure for hks, None for the other experiments."""
+    if cfg.experiment == "hks":
+        return math.sqrt(0.5 * area / wulff_measure(cfg.norm))
+    return 1.0 if cfg.experiment == "faber_krahn" else None
+
+
 def _solve(label: str, solve, grid: DomainGrid, cfg: ExperimentConfig, p: float):
     """solve(grid, norm, p, solver) for one top-level solve, logged at INFO as `label`."""
     t0 = time.perf_counter()
@@ -226,8 +238,7 @@ def run_faber_krahn(cfg: ExperimentConfig) -> Report:
     """
     rep = Report("faber_krahn", cfg.echo())
     kappa = wulff_measure(cfg.norm)
-    grid = cfg.grid
-    grid_w = rasterize(unit_wulff_spec(cfg.norm), cfg.h)
+    grid, grid_w = cfg.grid, cfg.reference
     area = measure(grid)
     area_w = measure(grid_w)
     for p in cfg.p_list:
@@ -253,11 +264,9 @@ def run_hks(cfg: ExperimentConfig) -> Report:
     the one in lambda_2(Omega).
     """
     rep = Report("hks", cfg.echo())
-    kappa = wulff_measure(cfg.norm)
-    grid = cfg.grid
+    grid, grid_ref = cfg.grid, cfg.reference
     area = measure(grid)
-    radius = float(np.sqrt(0.5 * area / kappa))
-    grid_ref = rasterize(unit_wulff_spec(cfg.norm, radius), cfg.h)
+    radius = _reference_radius(cfg, area)
     half_area = measure(grid_ref)
     for p in cfg.p_list:
         lam2 = _solve("lambda2", eig.solve_lambda2, grid, cfg, p).lambda2

@@ -311,8 +311,8 @@ def test_warm_part_solve_triangulates_its_mask_once(monkeypatch):
         return triangulate(g)
 
     monkeypatch.setattr(eigensolve, "triangulate", counted_triangulate)
-    solver = eigensolve._PartSolver(grid, norm, 3.0, SolverOptions())
-    assert solver.solve(half, warm).iterations > 0
+    solve, _ = eigensolve._part_solver(grid, norm, 3.0, SolverOptions())
+    assert solve(half, warm).iterations > 0
     assert keys == [eigensolve._grid_key(grid.subgrid(half))]
 
 
@@ -402,8 +402,8 @@ def test_lambda2_drops_nodal_candidate_when_oracle_fails(monkeypatch, caplog):
     monkeypatch.setattr(eigensolve, "solve_linear_p2", failing_oracle)
     with caplog.at_level("WARNING", logger="finsler_spectra.eigensolve"):
         b = fs.solve_lambda2(grid, norm, 2.0)
-    solver = eigensolve._PartSolver(grid, norm, 2.0, SolverOptions())
-    assert b.lambda2 == eigensolve._greedy_refine(solver, *packing)[0]
+    solve, _ = eigensolve._part_solver(grid, norm, 2.0, SolverOptions())
+    assert b.lambda2 == eigensolve._greedy_refine(grid, solve, *packing)[0]
     assert any("nodal" in r.getMessage() and "ConvergenceError" in r.getMessage()
                for r in caplog.records)
 
@@ -461,8 +461,8 @@ def test_lambda2_drops_a_candidate_whose_refinement_raises(monkeypatch, caplog):
     grid = fs.rasterize(unit_square_spec(), 1.0 / 12)
     norm = fs.euclidean()
     nodal, packing = eigensolve._split_candidates(grid, norm).values()
-    expected = eigensolve._greedy_refine(eigensolve._PartSolver(grid, norm, 2.0, SolverOptions()),
-                                         *packing)[0]
+    solve, _ = eigensolve._part_solver(grid, norm, 2.0, SolverOptions())
+    expected = eigensolve._greedy_refine(grid, solve, *packing)[0]
     _fail_on_masks(monkeypatch, [nodal[0]])
     with caplog.at_level("WARNING", logger="finsler_spectra.eigensolve"):
         b = fs.solve_lambda2(grid, norm, 2.0)
@@ -483,6 +483,27 @@ def test_lambda2_raises_when_every_candidate_raises(monkeypatch, caplog):
     assert [r.getMessage().split(":")[0] for r in caplog.records] == ["bipartition candidate dropped"] * 2
 
 
+@pytest.mark.parametrize("max_iter", [7, 10])
+def test_lambda2_of_two_disks_keeps_the_component_pair_when_every_split_fails(caplog, max_iter):
+    # at max_iter 7 both disks' lambda_1 converge, while both splits of the r = 1 disk
+    # raise: they are dropped like any candidate, and the component pair stands
+    grid = fs.rasterize(two_disk_spec(1.0, 0.75, 3.0), 1.0 / 8)
+    with caplog.at_level(logging.DEBUG, logger="finsler_spectra.eigensolve"):
+        b = fs.solve_lambda2(grid, fs.euclidean(), 16.0, SolverOptions(max_iter=max_iter))
+    assert b.lambda2 == 16564.0854242344
+    big, small = fs.components(grid)
+    assert np.array_equal(b.part1, big.mask) and np.array_equal(b.part2, small.mask)
+    dropped = [r for r in caplog.records if r.levelno == logging.WARNING]
+    ((line, cands),) = _search_lines(caplog)   # only the big disk could beat the pair
+    assert int(line[2]) == big.interior_count
+    assert [c[0] for c in cands] == ["nodal", "packing"]
+    assert [r.getMessage() for r in dropped] == [
+        f"bipartition candidate dropped: {c[5]}" for c in cands if c[5] is not None]
+    assert all(float(c[4]) > b.lambda2 for c in cands if c[5] is None)
+    if max_iter == 7:
+        assert len(dropped) == 2 and line[7] == "none"
+
+
 _SEARCH_LINE = re.compile(r"lambda2 search p=(\S+) dofs=(\d+); (.*); part solves requests=(\d+) "
                           r"hits=(\d+) ran=(\d+); winner=(\w+)$")
 _CANDIDATE = re.compile(r"(\w+) (?:start=(\S+) sweeps=(\d+) accepted=(\d+) value=(\S+)|dropped (.+))$")
@@ -500,13 +521,18 @@ def test_lambda2_search_logs_one_debug_line(monkeypatch, caplog):
 
     grid = fs.rasterize(unit_square_spec(), 1.0 / 12)
     norm = fs.euclidean()
-    solve, requests = eigensolve._PartSolver.solve, []
+    factory, requests = eigensolve._part_solver, []
 
-    def counted(self, mask, warm=None):
-        requests.append(mask)
-        return solve(self, mask, warm)
+    def counted_factory(*args):
+        solve, counts = factory(*args)
 
-    monkeypatch.setattr(eigensolve._PartSolver, "solve", counted)
+        def counted(mask, warm=None):
+            requests.append(mask)
+            return solve(mask, warm)
+
+        return counted, counts
+
+    monkeypatch.setattr(eigensolve, "_part_solver", counted_factory)
     with caplog.at_level(logging.DEBUG, logger="finsler_spectra.eigensolve"):
         b = fs.solve_lambda2(grid, norm, 3.0)
     ((line, cands),) = _search_lines(caplog)
@@ -539,8 +565,8 @@ class _ScriptedParts:
     """A part solver that returns the scripted lambda_1 values in call order and
     raises ConvergenceError when the script runs out."""
 
-    def __init__(self, grid, lams):
-        self.grid, self.lams, self.masks = grid, list(lams), []
+    def __init__(self, lams):
+        self.lams, self.masks = list(lams), []
 
     def solve(self, mask, warm=None):
         self.masks.append(mask)
@@ -562,8 +588,8 @@ def test_interface_search_stops_at_its_best_when_a_part_solve_raises():
     from finsler_spectra import eigensolve
 
     grid = fs.rasterize(unit_square_spec(), 1.0 / 8)
-    solver = _ScriptedParts(grid, [10.0, 8.0, 9.0, 9.0, 8.5])
-    val, q1, q2, r1, r2, stats = eigensolve._greedy_refine(solver, *_halves(grid))
+    solver = _ScriptedParts([10.0, 8.0, 9.0, 9.0, 8.5])
+    val, q1, q2, r1, r2, stats = eigensolve._greedy_refine(grid, solver.solve, *_halves(grid))
     assert len(solver.masks) == 6
     assert val == 9.0 and (r1.lam, r2.lam) == (9.0, 9.0)
     # the first sweep grew part 1 and solved the shrunk part 2 first
@@ -579,8 +605,8 @@ def test_interface_search_grows_the_first_part_on_a_tie(ratio):
     p1, p2 = _halves(grid)
     # the first two parts have lambda_1 equal up to ratio; the shrunk second part is
     # worse, so the interface search stops after one sweep, without solving the grown one
-    solver = _ScriptedParts(grid, [10.0, 10.0 * ratio, 20.0])
-    val, *_, stats = eigensolve._greedy_refine(solver, p1, p2)
+    solver = _ScriptedParts([10.0, 10.0 * ratio, 20.0])
+    val, *_, stats = eigensolve._greedy_refine(grid, solver.solve, p1, p2)
     grown = p1 | (ndimage.binary_dilation(p1, structure=eigensolve._FOUR) & grid.mask)
     assert len(solver.masks) == 3 and val == max(10.0, 10.0 * ratio)
     assert np.array_equal(solver.masks[2], p2 & ~grown)
@@ -594,29 +620,29 @@ def test_a_rejected_sweep_requests_only_the_shrunk_part():
     p1, p2 = _halves(grid)
     # part 2 (8) is below part 1 (10), so part 1 grows; the shrunk part 2 rises to 12,
     # which no grown part 1 can bring below 10, so the 5 for a grown part is never asked for
-    solver = _ScriptedParts(grid, [10.0, 8.0, 12.0, 5.0])
-    val, q1, q2, *_ = eigensolve._greedy_refine(solver, p1, p2)
+    solver = _ScriptedParts([10.0, 8.0, 12.0, 5.0])
+    val, q1, q2, *_ = eigensolve._greedy_refine(grid, solver.solve, p1, p2)
     frontier = ndimage.binary_dilation(p1, structure=eigensolve._FOUR) & grid.mask & ~p1
     assert len(solver.masks) == 3 and np.array_equal(solver.masks[2], p2 & ~frontier)
     assert val == 10.0 and q1 is p1 and q2 is p2
 
 
-def _two_solve_refine(solver, p1, p2):
+def _two_solve_refine(grid, solve, p1, p2):
     """The interface search that solves both parts of every sweep before deciding it."""
     from finsler_spectra import eigensolve
 
-    r1, r2 = solver.solve(p1), solver.solve(p2)
+    r1, r2 = solve(p1), solve(p2)
     val = max(r1.lam, r2.lam)
     for _ in range(eigensolve._MAX_SWEEPS):
         grow_first = r1.lam >= r2.lam * (1.0 - 1e-12)
         hi, lo = (p1, p2) if grow_first else (p2, p1)
-        frontier = ndimage.binary_dilation(hi, structure=eigensolve._FOUR) & solver.grid.mask & ~hi
+        frontier = ndimage.binary_dilation(hi, structure=eigensolve._FOUR) & grid.mask & ~hi
         if not (lo & ~frontier).any():
             break
         cand = (hi | frontier, lo & ~frontier) if grow_first else (lo & ~frontier, hi | frontier)
         warm = r1.u.as_grid_array() + r2.u.as_grid_array()
         try:
-            c1, c2 = solver.solve(cand[0], warm), solver.solve(cand[1], warm)
+            c1, c2 = solve(cand[0], warm), solve(cand[1], warm)
         except fs.ConvergenceError:
             break
         if not max(c1.lam, c2.lam) < val * (1.0 - 1e-10):
@@ -635,12 +661,12 @@ def test_interface_search_matches_the_two_solve_search_with_fewer_requests(spec,
     grid = fs.rasterize(spec, 1.0 / 8)
     norm = ALL_NORMS[family]
     for p1, p2 in eigensolve._split_candidates(grid, norm).values():
-        ours = eigensolve._PartSolver(grid, norm, p, SolverOptions())
-        ref = eigensolve._PartSolver(grid, norm, p, SolverOptions())
-        val, q1, q2, *_ = eigensolve._greedy_refine(ours, p1, p2)
-        ref_val, ref_q1, ref_q2 = _two_solve_refine(ref, p1, p2)
+        ours, ours_counts = eigensolve._part_solver(grid, norm, p, SolverOptions())
+        ref, ref_counts = eigensolve._part_solver(grid, norm, p, SolverOptions())
+        val, q1, q2, *_ = eigensolve._greedy_refine(grid, ours, p1, p2)
+        ref_val, ref_q1, ref_q2 = _two_solve_refine(grid, ref, p1, p2)
         assert val == ref_val and np.array_equal(q1, ref_q1) and np.array_equal(q2, ref_q2)
-        assert ours.requests < ref.requests
+        assert ours_counts["requests"] < ref_counts["requests"]
 
 
 def _relative_gap(a, b):
@@ -854,6 +880,97 @@ def test_parabola_trial_never_raises_the_accepted_quotient(monkeypatch):
     assert r == lam and won >= 2 and lost >= 1
     monkeypatch.undo()
     assert eigensolve._newton_stage(tri, kkt, norm, 1.5, start, 1e-8, 100)[1] == lam
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0, 8.0])
+@pytest.mark.parametrize("family", sorted(ALL_NORMS))
+def test_a_stage_below_the_rounding_floor_stops_on_floor(caplog, family, p):
+    # no residual reaches tol = 1e-300: every stage ends once a Newton step's predicted
+    # decrease is rounding noise, at the value that the default tol gives
+    from finsler_spectra.eigensolve import _exponent_ladder
+
+    grid = fs.rasterize(unit_square_spec(), 1.0 / 8)
+    norm = ALL_NORMS[family]
+    with caplog.at_level(logging.DEBUG, logger="finsler_spectra.eigensolve"):
+        r = fs.solve_lambda1(grid, norm, p, SolverOptions(tol=1e-300))
+    stage = re.compile(r"newton stage p=\S+ dofs=\d+ steps=(\d+) .* stop=(\w+) residual=\S+$")
+    stages = [m.groups() for m in map(stage.match, (rec.getMessage() for rec in caplog.records)) if m]
+    assert len(stages) == len(_exponent_ladder(p))
+    assert all(1 <= int(steps) <= 6 and reason == "floor" for steps, reason in stages)
+    assert r.lam == pytest.approx(fs.solve_lambda1(grid, norm, p).lam, rel=1e-15)
+
+
+def test_newton_step_is_none_when_the_border_vanishes(monkeypatch):
+    # m = 0 makes m^T (L + mu I)^-1 m = 0: no step, and the stage retries at a larger mu
+    from finsler_spectra import eigensolve
+
+    grid = fs.rasterize(unit_square_spec(), 1.0 / 16)
+    tri = fs.triangulate(grid)
+    kkt = eigensolve._NewtonMatrix(tri)
+    norm = fs.euclidean()
+    v, gv, r, terms = eigensolve._evaluate(tri, norm, 3.0, fs.solve_linear_p2(grid, norm, 1).u.values)
+    g = eigensolve._tangent_gradient(tri, 3.0, v, r, terms)
+    entries, m = kkt.data(norm, 3.0, gv, v, r)
+    assert kkt.step((entries, m), 0.0, g) is not None
+    assert kkt.step((entries, 0.0 * m), 0.0, g) is None
+    mus, step = [], kkt.step
+
+    def none_first(data, mu, g):
+        mus.append(mu)
+        return None if len(mus) == 1 else step(data, mu, g)
+
+    clean = eigensolve._newton_stage(tri, kkt, norm, 3.0, v, 1e-8, 100)
+    monkeypatch.setattr(kkt, "step", none_first)
+    _, lam, _, res, reason = eigensolve._newton_stage(tri, kkt, norm, 3.0, v, 1e-8, 100)
+    assert mus[0] == 0.0 < mus[1] and reason == "tol" and res <= 1e-8
+    assert lam == pytest.approx(clean[1], rel=1e-12)
+
+
+def test_a_parabola_trial_that_raises_keeps_the_armijo_trial(monkeypatch, caplog):
+    """A zero or overflowing parabola trial is no step: the full step that passed Armijo
+    is taken, and the stage still converges."""
+    from finsler_spectra import eigensolve
+
+    grid = fs.rasterize(fs.shape(fs.euclidean_disk((0.0, 0.0), 1.0)), 1.0 / 16)
+    tri = eigensolve._triangulation(grid)
+    kkt = eigensolve._NewtonMatrix(tri)
+    norm = fs.euclidean()
+    start = eigensolve._linear_p2(grid, norm, 1).u.values
+    clean = eigensolve._newton_stage(tri, kkt, norm, 1.5, start, 1e-8, 100)
+    evaluate, tangent, step = eigensolve._evaluate, eigensolve._tangent_gradient, kkt.step
+    state = {"v": None, "d": None, "trial": None, "raised": False}
+    raised = []
+
+    def parabola_raises(tri, norm, p, w):
+        v, d = state["v"], state["d"]
+        if v is not None:
+            alpha = eigensolve._dot(w - v, d) / eigensolve._dot(d, d)
+            if not any(abs(alpha - 0.5 ** k) <= 1e-9 for k in range(eigensolve._BACKTRACKS)):
+                raised.append(alpha)
+                state["raised"] = True
+                raise ValueError("cannot normalize a zero or non-finite field")
+        state["trial"] = evaluate(tri, norm, p, w)
+        return state["trial"]
+
+    def recorded_tangent(tri, p, v, r, terms):
+        assert v is state["trial"][0]   # the accepted field is the last Armijo trial's
+        state["v"], state["raised"] = v, False
+        return tangent(tri, p, v, r, terms)
+
+    def recorded_step(data, mu, g):
+        assert not state["raised"]      # a raising parabola trial never costs a retry
+        state["d"] = step(data, mu, g)
+        return state["d"]
+
+    monkeypatch.setattr(eigensolve, "_evaluate", parabola_raises)
+    monkeypatch.setattr(eigensolve, "_tangent_gradient", recorded_tangent)
+    monkeypatch.setattr(kkt, "step", recorded_step)
+    with caplog.at_level(logging.DEBUG, logger="finsler_spectra.eigensolve"):
+        _, lam, steps, res, reason = eigensolve._newton_stage(tri, kkt, norm, 1.5, start, 1e-8, 100)
+    (line,) = [rec.getMessage() for rec in caplog.records if rec.getMessage().startswith("newton stage")]
+    assert len(raised) >= 3 and " parabola=0 " in line
+    assert reason == "tol" and res <= 1e-8 and steps > clean[2]
+    assert lam == pytest.approx(clean[1], rel=1e-10)
 
 
 @pytest.fixture(scope="module")

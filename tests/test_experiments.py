@@ -277,6 +277,64 @@ def test_config_needs_two_interior_nodes_to_split_or_pack(experiment):
     assert base_cfg(experiment=experiment, h=1.0 / 4).grid.interior_count == 9
 
 
+@pytest.mark.parametrize("over, named", [
+    ({"experiment": "faber_krahn", "h": 5.0,
+      "domain": [dict(square_domain()[0], x1=100.0, y1=100.0)]},
+     ["reference shape (the Wulff shape of radius 1)", "h=5.0", "faber_krahn"]),
+    ({"experiment": "hks", "h": 0.25, "norm": {"family": "weighted_quadratic", "a1": 100.0, "a2": 1.0}},
+     ["reference shape (the Wulff shape of radius 0.0946175)", "h=0.25", "hks"]),
+], ids=["faber_krahn", "hks"])
+def test_cli_run_refuses_an_empty_reference_shape_with_exit_code_2(tmp_path, capsys, over, named):
+    # the domain has interior nodes at h; the Wulff shape the runner solves beside it has none
+    with pytest.raises(ValueError, match="reference shape") as err:
+        ExperimentConfig.from_dict(_valid_config(**over))
+    assert all(n in str(err.value) for n in named)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_valid_config(**over)))
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert line.startswith("finsler-spectra: ") and all(n in line for n in named)
+    assert captured.out == "" and not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("experiment", ["faber_krahn", "hks"])
+def test_a_runner_solves_the_reference_shape_the_config_rasterized(monkeypatch, experiment):
+    from finsler_spectra import experiments
+
+    assert base_cfg(experiment="lambda2", h=1.0 / 8).reference is None
+    cfg = base_cfg(experiment=experiment, h=1.0 / 8)
+    assert cfg == base_cfg(experiment=experiment, h=1.0 / 8) and "reference" not in cfg.echo()
+    radius = 1.0 if experiment == "faber_krahn" else experiments._reference_radius(cfg, fs.measure(cfg.grid))
+    want = fs.rasterize(experiments.unit_wulff_spec(cfg.norm, radius), cfg.h)
+    assert np.array_equal(cfg.reference.mask, want.mask) and cfg.reference.origin == want.origin
+
+    def no_rasterize(*args, **kwargs):
+        raise AssertionError("the runner rasterized a shape")
+
+    monkeypatch.setattr(experiments, "rasterize", no_rasterize)
+    (rec,) = run(cfg).records
+    if experiment == "hks":
+        assert rec["radius_ref"] == radius and rec["measure_ref"] == 2.0 * fs.measure(want)
+    else:
+        assert rec["measure_wulff"] == fs.measure(want)
+
+
+def test_cli_run_reports_the_component_pair_when_every_split_of_a_disk_fails(tmp_path):
+    # at max_iter 7 both splits of the r = 1 disk raise; max_iter 10 gives the same pair
+    disks = [{"type": "euclidean_disk", "center": [0.0, 0.0], "radius": 1.0},
+             {"type": "euclidean_disk", "center": [3.0, 0.0], "radius": 0.75}]
+    values = []
+    for max_iter in (7, 10):
+        cfg_path = tmp_path / f"two_disks_{max_iter}.json"
+        cfg_path.write_text(json.dumps(_valid_config(experiment="lambda2", domain=disks, h=0.125,
+                                                     p_list=[16.0], solver={"max_iter": max_iter})))
+        out = tmp_path / f"o{max_iter}"
+        assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        values.append(json.loads((out / "report.json").read_text())["records"][0]["lambda2"])
+    assert values == [16564.0854242344] * 2
+
+
 def test_debug_log_leaves_distance_report_unchanged(tmp_path, monkeypatch, capsys):
     configs = {
         "distance": ({"experiment": "distance", "domain": square_domain(),
