@@ -5,7 +5,9 @@
 
 Exit code 0 iff every pass flag of the run is true, 1 if one is false, 2 (one
 line on standard error) for a config file or --norm that cannot be read or is
-rejected.  FS_LOG in {error, info, debug} controls diagnostics on standard error.
+rejected, 3 (one line on standard error) for a run whose solve raised
+ConvergenceError.  FS_LOG in {error, info, debug} controls diagnostics on
+standard error.
 """
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ import sys
 from dataclasses import asdict
 
 from . import experiments
+from .eigensolve import ConvergenceError
 from .norms import check_duality, norm_from_dict
 
 _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
@@ -50,7 +53,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         print(f"finsler-spectra: {args.config}: {exc}", file=sys.stderr)
         return 2
-    report = experiments.run(cfg)
+    try:
+        report = experiments.run(cfg)
+    except ConvergenceError as exc:
+        print(f"finsler-spectra: {args.config}: {exc}", file=sys.stderr)
+        return 3
     out_dir = args.out or cfg.out or "."
     paths = experiments.emit_report(report, out_dir, args.format)
     for p in paths:

@@ -152,27 +152,29 @@ class EigenResult:
     p: float
     iterations: int
     residual: float
-    nodal_count: int
+
+    @property
+    def nodal_count(self) -> int:
+        """The number of nodal domains of u (see nodal_domains), counted when read."""
+        return nodal_domains(self.u)[0]
 
     def to_dict(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "p": self.p,
-            "iterations": self.iterations,
-            "residual": self.residual,
-            "nodal_count": self.nodal_count,
-        }
+        return {"lambda": self.lam, "p": self.p, "iterations": self.iterations,
+                "residual": self.residual, "nodal_count": self.nodal_count}
 
 
 @dataclass
 class BipartitionResult:
-    lambda2: float
+    """One lambda_2 candidate: two disjoint part masks of a grid and lambda_1 on each."""
+
     part1: np.ndarray
     part2: np.ndarray
-    lambda1_part1: float
-    lambda1_part2: float
     result1: EigenResult
     result2: EigenResult
+
+    @property
+    def lambda2(self) -> float:
+        return max(self.result1.lam, self.result2.lam)
 
     def signed_field(self, tri: Triangulation) -> ScalarField:
         """Positive first eigenfunction on part1 minus the one on part2."""
@@ -473,9 +475,7 @@ def solve_lambda1(
     # first eigenfunctions have constant sign: the nodewise absolute value
     # never increases the energy for these norms and pins the sign convention
     v, _, lam, terms = _evaluate(tri, norm, p, np.abs(arr[grid.mask]))
-    u = ScalarField(tri, v)
-    count, _ = nodal_domains(u)
-    return EigenResult(lam=float(lam), u=u, p=p, iterations=total, nodal_count=count,
+    return EigenResult(lam=float(lam), u=ScalarField(tri, v), p=p, iterations=total,
                        residual=_residual(v, _tangent_gradient(tri, p, v, lam, terms), lam))
 
 
@@ -520,10 +520,8 @@ class _LinearPairs:
         residual = float(np.linalg.norm(self.K @ v - lam * m * v) / (lam * m * np.linalg.norm(v)))
         if residual > 1e-9:
             raise ConvergenceError(f"linear p=2 oracle did not converge: k={k}, residual={residual:.2e}")
-        count, _ = nodal_domains(u)
         v.flags.writeable = self.vecs.flags.writeable  # read-only where the pairs are kept
-        self._results[k] = EigenResult(lam=lam, u=u, p=2.0, iterations=self.solves,
-                                       residual=residual, nodal_count=count)
+        self._results[k] = EigenResult(lam=lam, u=u, p=2.0, iterations=self.solves, residual=residual)
         return self._results[k]
 
 
@@ -584,40 +582,36 @@ def _greedy_refine(grid: DomainGrid, solve, p1: np.ndarray, p2: np.ndarray):
     least that value, so a shrunk side that does not beat the best value
     rejects the sweep alone.  A solve that raises ConvergenceError ends the
     search at its best pair.  solve (see _part_solver) returns a repeated
-    mask's first result, whatever its warm start.  Returns (val, p1, p2, r1,
-    r2, (start, sweeps, accepted)): the given pair's value, the sweeps that
-    requested a part solve, and those that moved the interface.
+    mask's first result, whatever its warm start.  Returns the best
+    BipartitionResult and (start, sweeps, accepted): the given pair's value,
+    the sweeps that requested a part solve, and those that moved the interface.
     """
-    r1, r2 = solve(p1), solve(p2)
-    val = start = max(r1.lam, r2.lam)
-    sweeps = accepted = 0
+    best = BipartitionResult(p1, p2, solve(p1), solve(p2))
+    start, sweeps, accepted = best.lambda2, 0, 0
     for _ in range(_MAX_SWEEPS):
         # values within 1e-12 are a tie (mirror-image parts), which grows the first part
-        if r1.lam >= r2.lam * (1.0 - 1e-12):
-            hi, lo, hi_is_first = p1, p2, True
-        else:
-            hi, lo, hi_is_first = p2, p1, False
+        hi_is_first = best.result1.lam >= best.result2.lam * (1.0 - 1e-12)
+        hi, lo = (best.part1, best.part2) if hi_is_first else (best.part2, best.part1)
         frontier = ndimage.binary_dilation(hi, structure=_FOUR) & grid.mask & ~hi
-        new_hi = hi | frontier
-        new_lo = lo & ~frontier
+        new_hi, new_lo = hi | frontier, lo & ~frontier
         if not new_lo.any():
             break
-        warm = r1.u.as_grid_array() + r2.u.as_grid_array()
+        warm = best.result1.u.as_grid_array() + best.result2.u.as_grid_array()
         sweeps += 1
         try:
             c_lo = solve(new_lo, warm)
-            if not c_lo.lam < val * (1.0 - 1e-10):
+            if not c_lo.lam < best.lambda2 * (1.0 - 1e-10):
                 break
             c_hi = solve(new_hi, warm)
         except ConvergenceError:
             break
-        new_val = max(c_lo.lam, c_hi.lam)
-        if not new_val < val * (1.0 - 1e-10):
+        cand = (BipartitionResult(new_hi, new_lo, c_hi, c_lo) if hi_is_first
+                else BipartitionResult(new_lo, new_hi, c_lo, c_hi))
+        if not cand.lambda2 < best.lambda2 * (1.0 - 1e-10):
             break
         accepted += 1
-        val = new_val
-        p1, p2, r1, r2 = (new_hi, new_lo, c_hi, c_lo) if hi_is_first else (new_lo, new_hi, c_lo, c_hi)
-    return val, p1, p2, r1, r2, (start, sweeps, accepted)
+        best = cand
+    return best, (start, sweeps, accepted)
 
 
 def _split_candidates(grid: DomainGrid, norm: NormSpec) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
@@ -652,26 +646,25 @@ def _split_candidates(grid: DomainGrid, norm: NormSpec) -> Dict[str, Tuple[np.nd
 
 
 def _lambda2_connected(grid, norm, p, opts):
-    """Best refined nodal or packing split of a connected grid, as
-    (lambda2, part1, part2, result1, result2), or None when every candidate
-    was dropped.  Each candidate is max(lambda_1(A), lambda_1(B)) over
-    node-disjoint parts.  The search logs one DEBUG line: p, dofs, each
-    candidate's start value, sweeps run and accepted and refined value (or
-    why it was dropped), the part-solve requests, repeated-mask hits and
-    solves that ran, and the winner.
+    """The best refined nodal or packing split of a connected grid, a
+    BipartitionResult of node-disjoint parts, or None when every candidate
+    was dropped.  The search logs one DEBUG line: p, dofs, each candidate's
+    start value, sweeps run and accepted and refined value (or why it was
+    dropped), the part-solve requests, repeated-mask hits and solves that
+    ran, and the winner.
     """
     solve, counts = _part_solver(grid, norm, p, opts)
     best, winner, notes = None, "none", []
     for name, (p1, p2) in _split_candidates(grid, norm).items():
         try:
-            *cand, (start, sweeps, accepted) = _greedy_refine(grid, solve, p1, p2)
+            cand, (start, sweeps, accepted) = _greedy_refine(grid, solve, p1, p2)
         except ConvergenceError as exc:
             log.warning("bipartition candidate dropped: %s: %s", type(exc).__name__, exc)
             notes.append(f"{name} dropped {type(exc).__name__}: {exc}")
             continue
-        notes.append(f"{name} start={start!r} sweeps={sweeps} accepted={accepted} value={cand[0]!r}")
-        if best is None or cand[0] < best[0]:
-            best, winner = tuple(cand), name
+        notes.append(f"{name} start={start!r} sweeps={sweeps} accepted={accepted} value={cand.lambda2!r}")
+        if best is None or cand.lambda2 < best.lambda2:
+            best, winner = cand, name
     log.debug("lambda2 search p=%g dofs=%d; %s; part solves requests=%d hits=%d ran=%d; winner=%s",
               p, grid.interior_count, "; ".join(notes) or "no candidate", counts["requests"],
               counts["requests"] - counts["ran"], counts["ran"], winner)
@@ -684,7 +677,7 @@ def solve_lambda2(
     p: float,
     opts: SolverOptions = SolverOptions(),
 ) -> BipartitionResult:
-    """lambda_2 as the best max(lambda_1, lambda_1) over disjoint sub-domain pairs.
+    """lambda_2: the BipartitionResult of least max(lambda_1, lambda_1) among disjoint pairs.
 
     The candidates are the component pairs of a disconnected set, the first
     least one starting the search, and the refined nodal and packing splits
@@ -705,19 +698,14 @@ def solve_lambda2(
     comps = components(grid)
     # a connected set has no component pair, so its lambda_1 is never needed
     firsts = [solve_lambda1(c, norm, p, opts) for c in comps] if len(comps) > 1 else [None]
-    pairs = ((max(a.lam, b.lam), ca.mask, cb.mask, a, b)
+    pairs = (BipartitionResult(ca.mask, cb.mask, a, b)
              for (ca, a), (cb, b) in itertools.combinations(zip(comps, firsts), 2))
-    best = min(pairs, key=lambda cand: cand[0], default=None)  # the first least pair
+    best = min(pairs, key=lambda cand: cand.lambda2, default=None)  # the first least pair
     for comp, first in zip(comps, firsts):
-        if best is None or first.lam < best[0] * (1.0 - 1e-12):
+        if best is None or first.lam < best.lambda2 * (1.0 - 1e-12):
             sub = _lambda2_connected(comp, norm, p, opts)
-            if sub is not None and (best is None or sub[0] < best[0]):
+            if sub is not None and (best is None or sub.lambda2 < best.lambda2):
                 best = sub
     if best is None:
         raise ConvergenceError("no admissible bipartition candidate was found")
-    val, m1, m2, r1, r2 = best
-    return BipartitionResult(
-        lambda2=val, part1=m1, part2=m2,
-        lambda1_part1=r1.lam, lambda1_part2=r2.lam,
-        result1=r1, result2=r2,
-    )
+    return best

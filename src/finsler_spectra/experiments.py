@@ -220,8 +220,8 @@ def run_lambda2(cfg: ExperimentConfig) -> Report:
         rep.records.append({
             "p": p,
             "lambda2": r.lambda2,
-            "lambda1_part1": r.lambda1_part1,
-            "lambda1_part2": r.lambda1_part2,
+            "lambda1_part1": r.result1.lam,
+            "lambda1_part2": r.result2.lam,
             "measure_part1": float(r.part1.sum() * h2),
             "measure_part2": float(r.part2.sum() * h2),
         })

@@ -24,8 +24,10 @@ EUCLIDEAN_DISK = "euclidean_disk"
 # largest grid frame rasterize builds; a smaller h is rejected before any allocation
 MAX_GRID_NODES = 2 ** 22
 
-# 4-connectivity structuring element for component labelling
+# 4-connectivity structuring element (nodal domains, boundary ring, interface frontier)
 _FOUR = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
+# the mesh's edges, indexed [1 + di, 1 + dj]: 4-neighbours and the (i, j)-(i+1, j+1) cell diagonal
+_MESH = np.array([[1, 1, 0], [1, 1, 1], [0, 1, 1]], dtype=bool)
 
 # JSON keys of each primitive type besides "type" and the optional "mode"
 _PRIMITIVE_KEYS = {
@@ -198,7 +200,7 @@ class DomainGrid:
 
     @property
     def num_components(self) -> int:
-        return ndimage.label(self.mask, structure=_FOUR)[1]
+        return len(components(self))
 
     def node_xs(self) -> np.ndarray:
         return self.origin[0] + self.h * np.arange(self.nx)
@@ -278,8 +280,8 @@ def measure(grid: DomainGrid) -> float:
 
 
 def components(grid: DomainGrid) -> List[DomainGrid]:
-    """One same-frame sub-grid per 4-connected component (a mask partition), in label order."""
-    labels, count = ndimage.label(grid.mask, structure=_FOUR)
+    """One same-frame sub-grid per component of the mesh (see _MESH; a mask partition), in label order."""
+    labels, count = ndimage.label(grid.mask, structure=_MESH)
     return [replace(grid, mask=labels == c) for c in range(1, count + 1)]
 
 

@@ -186,9 +186,9 @@ def test_p_monotonicity_diagnostic(square_grid):
 def test_lambda2_square(square_grid):
     b = fs.solve_lambda2(square_grid, fs.euclidean(), 2.0)
     assert b.lambda2 == pytest.approx(5 * np.pi ** 2, rel=0.025)
-    assert b.lambda2 == max(b.lambda1_part1, b.lambda1_part2)
+    assert b.lambda2 == max(b.result1.lam, b.result2.lam)
     # optimal bipartition carries the eigenvalue on both parts
-    assert b.lambda1_part1 == pytest.approx(b.lambda1_part2, rel=0.02)
+    assert b.result1.lam == pytest.approx(b.result2.lam, rel=0.02)
     assert not (b.part1 & b.part2).any()
     assert (b.part1 | b.part2).sum() <= square_grid.mask.sum()
 
@@ -239,7 +239,7 @@ def test_lambda2_of_a_disconnected_set_takes_the_first_least_component_pair(monk
     def connected(comp, *args):
         searched.append(comp.mask)
         r = SimpleNamespace(lam=4.0)
-        return 4.0, comp.mask, comp.mask, r, r
+        return eigensolve.BipartitionResult(comp.mask, comp.mask, r, r)
 
     monkeypatch.setattr(eigensolve, "_lambda2_connected", connected)
     b = fs.solve_lambda2(grid, fs.euclidean(), 2.0)
@@ -275,6 +275,24 @@ def test_eigenresult_serialization(square_grid):
     d = r.to_dict()
     assert set(d) == {"lambda", "p", "iterations", "residual", "nodal_count"}
     assert d["lambda"] == r.lam
+
+
+def test_nodal_domains_are_counted_only_when_read(monkeypatch):
+    from finsler_spectra import eigensolve
+
+    calls, label = [], eigensolve.nodal_domains
+
+    def counted(u):
+        calls.append(u)
+        return label(u)
+
+    monkeypatch.setattr(eigensolve, "nodal_domains", counted)
+    grid = fs.rasterize(unit_square_spec(), 1.0 / 8)
+    fs.solve_lambda2(grid, fs.euclidean(), 1.5)
+    assert calls == []
+    r = fs.solve_lambda1(grid, fs.euclidean(), 1.5)
+    assert calls == []
+    assert r.nodal_count == 1 and len(calls) == 1 and calls[0] is r.u
 
 
 def test_lambda1_rejects_plateau(square_grid):
@@ -335,7 +353,7 @@ def test_lambda1_p32_from_four_starts_on_the_nodal_half(monkeypatch, family):
                 return r
             noise = 1e-12 * np.random.default_rng(seed).standard_normal(r.u.values.size)
             return eigensolve.EigenResult(r.lam, ScalarField(r.u.tri, r.u.values * (1.0 + noise)),
-                                          r.p, r.iterations, r.residual, r.nodal_count)
+                                          r.p, r.iterations, r.residual)
 
         monkeypatch.setattr(eigensolve, "_linear_p2", noisy)
         r = fs.solve_lambda1(grid, norm, 32.0)
@@ -403,7 +421,7 @@ def test_lambda2_drops_nodal_candidate_when_oracle_fails(monkeypatch, caplog):
     with caplog.at_level("WARNING", logger="finsler_spectra.eigensolve"):
         b = fs.solve_lambda2(grid, norm, 2.0)
     solve, _ = eigensolve._part_solver(grid, norm, 2.0, SolverOptions())
-    assert b.lambda2 == eigensolve._greedy_refine(grid, solve, *packing)[0]
+    assert b.lambda2 == eigensolve._greedy_refine(grid, solve, *packing)[0].lambda2
     assert any("nodal" in r.getMessage() and "ConvergenceError" in r.getMessage()
                for r in caplog.records)
 
@@ -462,7 +480,7 @@ def test_lambda2_drops_a_candidate_whose_refinement_raises(monkeypatch, caplog):
     norm = fs.euclidean()
     nodal, packing = eigensolve._split_candidates(grid, norm).values()
     solve, _ = eigensolve._part_solver(grid, norm, 2.0, SolverOptions())
-    expected = eigensolve._greedy_refine(grid, solve, *packing)[0]
+    expected = eigensolve._greedy_refine(grid, solve, *packing)[0].lambda2
     _fail_on_masks(monkeypatch, [nodal[0]])
     with caplog.at_level("WARNING", logger="finsler_spectra.eigensolve"):
         b = fs.solve_lambda2(grid, norm, 2.0)
@@ -589,7 +607,8 @@ def test_interface_search_stops_at_its_best_when_a_part_solve_raises():
 
     grid = fs.rasterize(unit_square_spec(), 1.0 / 8)
     solver = _ScriptedParts([10.0, 8.0, 9.0, 9.0, 8.5])
-    val, q1, q2, r1, r2, stats = eigensolve._greedy_refine(grid, solver.solve, *_halves(grid))
+    best, stats = eigensolve._greedy_refine(grid, solver.solve, *_halves(grid))
+    val, q1, q2, r1, r2 = best.lambda2, best.part1, best.part2, best.result1, best.result2
     assert len(solver.masks) == 6
     assert val == 9.0 and (r1.lam, r2.lam) == (9.0, 9.0)
     # the first sweep grew part 1 and solved the shrunk part 2 first
@@ -606,7 +625,8 @@ def test_interface_search_grows_the_first_part_on_a_tie(ratio):
     # the first two parts have lambda_1 equal up to ratio; the shrunk second part is
     # worse, so the interface search stops after one sweep, without solving the grown one
     solver = _ScriptedParts([10.0, 10.0 * ratio, 20.0])
-    val, *_, stats = eigensolve._greedy_refine(grid, solver.solve, p1, p2)
+    best, stats = eigensolve._greedy_refine(grid, solver.solve, p1, p2)
+    val = best.lambda2
     grown = p1 | (ndimage.binary_dilation(p1, structure=eigensolve._FOUR) & grid.mask)
     assert len(solver.masks) == 3 and val == max(10.0, 10.0 * ratio)
     assert np.array_equal(solver.masks[2], p2 & ~grown)
@@ -621,7 +641,8 @@ def test_a_rejected_sweep_requests_only_the_shrunk_part():
     # part 2 (8) is below part 1 (10), so part 1 grows; the shrunk part 2 rises to 12,
     # which no grown part 1 can bring below 10, so the 5 for a grown part is never asked for
     solver = _ScriptedParts([10.0, 8.0, 12.0, 5.0])
-    val, q1, q2, *_ = eigensolve._greedy_refine(grid, solver.solve, p1, p2)
+    best, _ = eigensolve._greedy_refine(grid, solver.solve, p1, p2)
+    val, q1, q2 = best.lambda2, best.part1, best.part2
     frontier = ndimage.binary_dilation(p1, structure=eigensolve._FOUR) & grid.mask & ~p1
     assert len(solver.masks) == 3 and np.array_equal(solver.masks[2], p2 & ~frontier)
     assert val == 10.0 and q1 is p1 and q2 is p2
@@ -663,7 +684,8 @@ def test_interface_search_matches_the_two_solve_search_with_fewer_requests(spec,
     for p1, p2 in eigensolve._split_candidates(grid, norm).values():
         ours, ours_counts = eigensolve._part_solver(grid, norm, p, SolverOptions())
         ref, ref_counts = eigensolve._part_solver(grid, norm, p, SolverOptions())
-        val, q1, q2, *_ = eigensolve._greedy_refine(grid, ours, p1, p2)
+        best, _ = eigensolve._greedy_refine(grid, ours, p1, p2)
+        val, q1, q2 = best.lambda2, best.part1, best.part2
         ref_val, ref_q1, ref_q2 = _two_solve_refine(grid, ref, p1, p2)
         assert val == ref_val and np.array_equal(q1, ref_q1) and np.array_equal(q2, ref_q2)
         assert ours_counts["requests"] < ref_counts["requests"]

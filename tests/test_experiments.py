@@ -335,6 +335,25 @@ def test_cli_run_reports_the_component_pair_when_every_split_of_a_disk_fails(tmp
     assert values == [16564.0854242344] * 2
 
 
+@pytest.mark.parametrize("max_iter, code", [(3, 3), (7, 0)])
+def test_cli_run_exits_3_with_one_line_when_a_solve_does_not_converge(tmp_path, capsys, max_iter, code):
+    # at max_iter 3 the r = 1 disk's own lambda_1 stops at p = 4; at 7 the run reports
+    disks = [{"type": "euclidean_disk", "center": [0.0, 0.0], "radius": 1.0},
+             {"type": "euclidean_disk", "center": [3.0, 0.0], "radius": 0.75}]
+    cfg_path = tmp_path / "two_disks.json"
+    cfg_path.write_text(json.dumps(_valid_config(experiment="lambda2", domain=disks, h=0.125,
+                                                 p_list=[16.0], solver={"max_iter": max_iter})))
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    if code == 3:
+        (line,) = err.splitlines()
+        assert line.startswith(f"finsler-spectra: {cfg_path}: ") and "did not converge" in line
+        assert not (tmp_path / "out").exists()
+    else:
+        assert err == "" and (tmp_path / "out" / "report.json").exists()
+    assert "Traceback" not in err
+
+
 def test_debug_log_leaves_distance_report_unchanged(tmp_path, monkeypatch, capsys):
     configs = {
         "distance": ({"experiment": "distance", "domain": square_domain(),

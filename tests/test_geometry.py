@@ -22,6 +22,21 @@ def test_two_disjoint_disks_components():
     assert ((parts[0].mask | parts[1].mask) == g.mask).all()
 
 
+def test_blocks_touching_on_the_mesh_diagonal_are_one_component():
+    # two 6 x 6 blocks meet only at nodes (7, 7) and (8, 8), which the triangle of
+    # cell (7, 7) joins: one component, and lambda_1 couples the blocks at p != 2
+    mask = np.zeros((16, 16), dtype=bool)
+    mask[2:8, 2:8] = mask[8:14, 8:14] = True
+    g = fs.DomainGrid((0.0, 0.0), 1.0 / 6, 16, 16, mask)
+    (part,) = fs.components(g)
+    assert g.num_components == 1 and np.array_equal(part.mask, mask)
+    # 7.9339 is the quotient of a field mixing both blocks, and each block alone gives 7.9507
+    assert fs.solve_lambda1(g, fs.euclidean(), 1.5).lam < 7.9339
+    # the anti-diagonal is no edge of the mesh
+    flipped = mask[::-1].copy()
+    assert fs.DomainGrid((0.0, 0.0), 1.0 / 6, 16, 16, flipped).num_components == 2
+
+
 def test_frame_domain_measure():
     spec = fs.shape(
         fs.rectangle(0, 0, 1, 1),
