@@ -4,10 +4,11 @@
     finsler-spectra check-duality --norm '{"family":"lq","q":3.0}' --samples 100
 
 Exit code 0 iff every pass flag of the run is true, 1 if one is false, 2 (one
-line on standard error) for a config file or --norm that cannot be read or is
-rejected, 3 (one line on standard error) for a run whose solve raised
-ConvergenceError.  FS_LOG in {error, info, debug} controls diagnostics on
-standard error.
+line on standard error) for a config file, --norm or --samples that cannot be
+read or is rejected, or an output directory that is an existing file or cannot
+be written (refused before the run where it is a file), 3 (one line on standard
+error) for a run whose solve raised ConvergenceError.  FS_LOG in {error, info,
+debug} controls diagnostics on standard error.
 """
 from __future__ import annotations
 
@@ -53,13 +54,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         print(f"finsler-spectra: {args.config}: {exc}", file=sys.stderr)
         return 2
+    out_dir = args.out or cfg.out or "."
+    if os.path.exists(out_dir) and not os.path.isdir(out_dir):
+        print(f"finsler-spectra: {out_dir}: the output directory is an existing file", file=sys.stderr)
+        return 2
     try:
         report = experiments.run(cfg)
     except ConvergenceError as exc:
         print(f"finsler-spectra: {args.config}: {exc}", file=sys.stderr)
         return 3
-    out_dir = args.out or cfg.out or "."
-    paths = experiments.emit_report(report, out_dir, args.format)
+    try:
+        paths = experiments.emit_report(report, out_dir, args.format)
+    except OSError as exc:
+        print(f"finsler-spectra: {exc}", file=sys.stderr)
+        return 2
     for p in paths:
         print(p)
     return 0 if report.passed else 1
@@ -71,7 +79,11 @@ def _cmd_check_duality(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"finsler-spectra: --norm: {exc}", file=sys.stderr)
         return 2
-    rep = check_duality(norm, args.samples)
+    try:
+        rep = check_duality(norm, args.samples)
+    except ValueError as exc:
+        print(f"finsler-spectra: --samples: {exc}", file=sys.stderr)
+        return 2
     print(json.dumps({"norm": norm.to_dict(), "samples": args.samples, **asdict(rep)},
                      indent=2, sort_keys=True))
     return 0 if rep.max_residual <= experiments.DUALITY_TOL else 1

@@ -19,6 +19,7 @@ import functools
 import itertools
 import logging
 import math
+import time
 from collections import Counter
 from contextvars import ContextVar
 from dataclasses import asdict, dataclass
@@ -33,8 +34,8 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from . import distance as _distance
-from .fem import (ScalarField, Triangulation, _mass_gradient_values, energy_from_terms, energy_p,
-                  energy_terms, gradient_from_terms, mass_p, triangulate)
+from .fem import (CELL_ORDER, CORNERS, HATS, STENCIL, ScalarField, Triangulation, _mass_gradient_values,
+                  energy_from_terms, energy_p, energy_terms, gradient_from_terms, mass_p, triangulate)
 from .geometry import _FOUR, DomainGrid, _check_keys, components
 from .norms import NormSpec, _number, euclidean, polar_eval, power_hessian
 
@@ -66,13 +67,15 @@ class _GridContext:
     of one store, with read-only arrays.  It is active only inside the
     ``with`` block, and only experiments.run() opens one, so a direct library
     call computes everything afresh and nothing outlives a run.  _kept is the
-    one path that reads the store.
+    one path that reads the store.  ``seconds`` sums each kind's build time, a
+    build that triangulates its grid on the way included.
     """
 
     def __init__(self):
         self.kept: Dict[tuple, object] = {}
         self.built: Counter = Counter()
         self.reused: Counter = Counter()
+        self.seconds: Counter = Counter()
         self._token = None
 
     def __enter__(self) -> "_GridContext":
@@ -106,7 +109,9 @@ def _kept(kind: str, key, build, arrays=None):
     if value is not None:
         ctx.reused[kind] += 1
     elif build is not None:
+        t0 = time.perf_counter()
         value = ctx.kept[kind, key] = build()
+        ctx.seconds[kind] += time.perf_counter() - t0
         ctx.built[kind] += 1
         for a in arrays(value):
             a.flags.writeable = False
@@ -116,7 +121,7 @@ def _kept(kind: str, key, build, arrays=None):
 def _triangulation(grid: DomainGrid) -> Triangulation:
     """triangulate(grid), or inside experiments.run() the one kept for grid's mask."""
     return _kept("triangulations", _grid_key(grid), lambda: triangulate(grid),
-                 lambda tri: [tri.dof_nodes, tri.cell_ij, tri.grid.mask,
+                 lambda tri: [tri.dof_nodes, tri.cell_ij, tri.cell_nodes, tri.node_cells, tri.grid.mask,
                               *_sparse_arrays(tri.G, tri.GxT, tri.GyT)])
 
 
@@ -254,35 +259,62 @@ def _residual(v, g, r) -> float:
     return math.sqrt(_dot(g, g) * _dot(v, v)) / r
 
 
+def _map_template():
+    """The rows of _NewtonMatrix.map as one template per STENCIL slot s: the entries start[s] to
+    start[s] + length[s] of (comp, upper, corner, mult).  Map row (r, s), the entry of L at node r
+    and its neighbour in slot s, sums over the triangles that hold both (fem.HATS) mult area/h^2
+    times K's component comp (0 = xx, 1 = xy, 2 = yy) at column comp * ntri + upper * ncell +
+    node_cells[r, corner]; the diagonal adds the mass (comp 3, corner 4: r itself).  Sorted by
+    (comp, upper, CELL_ORDER), a template is in column order."""
+    rows = [[] for _ in STENCIL]
+    for upper, hat in enumerate(HATS):
+        for k, (gx, gy) in hat.items():
+            for k2, (gx2, gy2) in hat.items():
+                slot = STENCIL.index((CORNERS[k2][0] - CORNERS[k][0], CORNERS[k2][1] - CORNERS[k][1]))
+                for comp, mult in enumerate((gx * gx2, gx * gy2 + gy * gx2, gy * gy2)):
+                    if mult:
+                        rows[slot].append((comp, upper, CELL_ORDER.index(k), k, mult))
+    rows[STENCIL.index((0, 0))].append((3, 0, 0, 4, 1))
+    length = np.array([len(row) for row in rows])
+    entries = np.array([(comp, upper, k, mult) for row in rows for comp, upper, _, k, mult in sorted(row)])
+    return (np.cumsum(length) - length, length, *entries.T)
+
+
+_MAP_TEMPLATE = _map_template()
+
+
 class _NewtonMatrix:
     """L = H_E - lam H_M + mu I of one triangulation in LAPACK band storage, bordered by
     the mass gradient m.  H_E = area G^T K G, with K the per-triangle 2x2 blocks of
     norms.power_hessian.  The nodes are renumbered once in reverse Cuthill-McKee order
-    (half-bandwidth w); the entries of L are one sparse product of a map with
-    [K entries, -H_M diagonal]."""
+    (half-bandwidth w) of the mesh's 7-point stencil, L's pattern; the entries of L are one
+    sparse product of a map with [K entries, -H_M diagonal], whose rows are written from each
+    node's cells (see _map_template)."""
 
     def __init__(self, tri: Triangulation):
         n, nt = tri.ndof, tri.ntri
-        G = tri.G.tocoo()
-        order = np.argsort(G.row % nt, kind="stable")
-        t = G.row[order] % nt
-        slot = np.arange(t.size) - np.searchsorted(t, t)
-        # each triangle's (at most four) nonzeros of G: node, row block (0 = x, 1 = y), value
-        node, block, value = (np.zeros((nt, 4), dtype=dt) for dt in (np.int64, np.int64, float))
-        node[t, slot], block[t, slot], value[t, slot] = G.col[order], G.row[order] // nt, G.data[order]
-        j = np.arange(n)
-        # (row, column, entry of [K xx, K xy, K yy, -H_M diagonal], value) of every term
-        terms = [(node[:, a], node[:, b], (block[:, a] + block[:, b]) * nt + np.arange(nt),
-                  tri.area * value[:, a] * value[:, b]) for a in range(4) for b in range(4)]
-        terms.append((j, j, 3 * nt + j, np.ones(n)))
-        rows, cols, coef, vals = (np.concatenate(x) for x in zip(*terms))
-        keep = vals != 0.0
-        rows, cols, coef, vals = (x[keep] for x in (rows, cols, coef, vals))
-        self.perm = reverse_cuthill_mckee(sp.csr_matrix((vals, (rows, cols))), symmetric_mode=True)
+        nbr = tri.stencil()
+        on = nbr >= 0
+        graph = sp.csr_matrix((np.ones(on.sum()), nbr[on], np.concatenate([[0], np.cumsum(on.sum(axis=1))])),
+                              shape=(n, n))
+        self.perm = reverse_cuthill_mckee(graph, symmetric_mode=True)
         self.rank = np.argsort(self.perm)
-        keys, pos = np.unique(self.rank[rows] * n + self.rank[cols], return_inverse=True)
-        self.map = sp.csr_matrix((vals, (pos, coef)), shape=(keys.size, 3 * nt + n))
-        self.rows, self.cols = keys // n, keys % n
+        # L's entries in the new numbering, row by row and by column within a row
+        col = np.where(on, self.rank[nbr], n)[self.perm]
+        slot = np.argsort(col, axis=1)
+        col = np.take_along_axis(col, slot, axis=1)
+        on = col < n
+        self.rows, self.cols = np.nonzero(on)[0], col[on]
+        start, length, comp, upper, corner, mult = _MAP_TEMPLATE
+        slot = slot[on]
+        size = length[slot]
+        indptr = np.concatenate([[0], np.cumsum(size)])
+        e = np.arange(indptr[-1]) + np.repeat(start[slot] - indptr[:-1], size)  # template entry
+        node = np.repeat(self.perm[self.rows], size)
+        cells = np.column_stack([tri.node_cells, np.arange(n)])
+        coef = (comp * nt + upper * (nt // 2))[e] + cells[node, corner[e]]
+        value = np.where(comp == 3, 1.0, mult * (tri.area * (1.0 / tri.h) * (1.0 / tri.h)))[e]
+        self.map = sp.csr_matrix((value, coef, indptr), shape=(self.rows.size, 3 * nt + n))
         self.w = w = int(np.abs(self.rows - self.cols).max(initial=0))
         self.band = (2 * w + self.rows - self.cols, self.cols)  # where L's entries sit in the band
         self.tri = tri
@@ -479,6 +511,19 @@ def solve_lambda1(
                        residual=_residual(v, _tangent_gradient(tri, p, v, lam, terms), lam))
 
 
+def _stiffness(tri: Triangulation, norm: NormSpec) -> sp.csc_matrix:
+    """K = area (w1 Gx^T Gx + w2 Gy^T Gy), the quadratic form of energy_2: the 5-point stencil,
+    -2/h^2 per neighbour and 4/h^2 per direction on the diagonal, summed as a sparse product sums."""
+    x = (1.0 / tri.h) * (1.0 / tri.h)
+    side, diag = -2.0 * x, x + x + x + x
+    values = tri.area * np.array([norm.w1 * side, norm.w2 * side, norm.w1 * diag + norm.w2 * diag,
+                                  norm.w2 * side, norm.w1 * side])
+    nbr = tri.stencil()[:, 1:6]  # (-1, 0), (0, -1), (0, 0), (0, 1), (1, 0)
+    on = nbr >= 0
+    return sp.csc_matrix((np.broadcast_to(values, nbr.shape)[on], nbr[on],
+                          np.concatenate([[0], np.cumsum(on.sum(axis=1))])), shape=(tri.ndof, tri.ndof))
+
+
 class _LinearPairs:
     """The two lowest eigenpairs of a grid's p=2 operator from one eigsh call;
     the EigenResult of each k is built when first asked for, with a read-only
@@ -487,7 +532,7 @@ class _LinearPairs:
     def __init__(self, tri: Triangulation, norm: NormSpec):
         self.tri = tri
         self.norm = norm
-        self.K = (tri.area * (norm.w1 * (tri.GxT @ tri.Gx) + norm.w2 * (tri.GyT @ tri.Gy))).tocsc()
+        self.K = _stiffness(tri, norm)
         self.solves = 0
         if tri.ndof > 2:
             lu = spla.splu(self.K)

@@ -362,8 +362,8 @@ def run(cfg: ExperimentConfig) -> Report:
     t0 = time.perf_counter()
     with eig._GridContext() as ctx:
         rep = _RUNNERS[cfg.experiment](cfg)
-    log.debug("grid context: %s", "; ".join(f"{kind} built={ctx.built[kind]} reused={ctx.reused[kind]}"
-                                            for kind in eig._KINDS))
+    log.debug("grid context: %s", "; ".join(f"{kind} built={ctx.built[kind]} reused={ctx.reused[kind]} "
+                                            f"build_s={ctx.seconds[kind]:.4f}" for kind in eig._KINDS))
     log.info("experiment %s finished in %.2fs (passed=%s)",
              cfg.experiment, time.perf_counter() - t0, rep.passed)
     return rep

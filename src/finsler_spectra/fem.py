@@ -16,13 +16,14 @@ import scipy.sparse as sp
 from .geometry import DomainGrid
 from .norms import NormSpec, squared_with_halfgrad
 
-
-def _gradient_matrix(rows, plus, minus, h, ntri, ndof):
-    mp = plus >= 0
-    mm = minus >= 0
-    data = np.concatenate([np.full(mp.sum(), 1.0 / h), np.full(mm.sum(), -1.0 / h)])
-    ij = (np.concatenate([rows[mp], rows[mm]]), np.concatenate([plus[mp], minus[mm]]))
-    return sp.csr_matrix((data, ij), shape=(ntri, ndof))
+# corners A, B, C, D of cell (i, j), as (di, dj) from node (i, j)
+CORNERS = ((0, 0), (1, 0), (1, 1), (0, 1))
+# h times the P1 hat gradient at each corner of a cell's lower (A, B, C) and upper (A, D, C) triangle
+HATS = ({0: (-1, 0), 1: (1, -1), 2: (0, 1)}, {0: (0, -1), 3: (-1, 1), 2: (1, 0)})
+# the corner a node is of its four cells, in the order of their cell indices
+CELL_ORDER = (2, 1, 3, 0)
+# (di, dj) of a node's mesh neighbours, itself included, in the order of their dof indices
+STENCIL = ((-1, -1), (-1, 0), (0, -1), (0, 0), (0, 1), (1, 0), (1, 1))
 
 
 @dataclass(frozen=True)
@@ -41,6 +42,9 @@ class Triangulation:
     G: sp.csr_matrix         # (2 ntri, ndof) = [Gx; Gy]; triangles are [lower cells; upper cells]
     GxT: sp.csr_matrix       # (ndof, ntri)
     GyT: sp.csr_matrix
+    cell_nodes: np.ndarray   # (ncell, 4) dofs at the corners A, B, C, D = (i, j), (i+1, j), (i+1, j+1),
+                             # (i, j+1) of each kept cell; -1 off the mask
+    node_cells: np.ndarray   # (ndof, 4) the cell of which each dof is corner A, B, C and D
 
     @property
     def ndof(self) -> int:
@@ -66,6 +70,12 @@ class Triangulation:
     def area(self) -> float:
         return 0.5 * self.grid.h ** 2
 
+    def stencil(self) -> np.ndarray:
+        """(ndof, 7) dofs of each node's neighbours at the offsets STENCIL, -1 off the mask."""
+        A, B, C, D = self.cell_nodes.T
+        a, c = self.node_cells[:, 0], self.node_cells[:, 2]
+        return np.stack([A[c], D[c], B[c], np.arange(self.ndof, dtype=A.dtype), D[a], B[a], C[a]], axis=1)
+
     def gradient_components(self, values: np.ndarray) -> np.ndarray:
         """(2, ntri) array whose rows are Gx @ values and Gy @ values.
 
@@ -75,34 +85,42 @@ class Triangulation:
 
 
 def triangulate(grid: DomainGrid) -> Triangulation:
-    mask = grid.mask
-    node_index = -np.ones(mask.shape, dtype=np.int64)
-    dof_nodes = np.argwhere(mask)
-    node_index[mask] = np.arange(dof_nodes.shape[0])
+    """The criss-cross mesh of grid's interior nodes, its operators written straight from the cell corners.
 
-    # cells with at least one interior corner carry energy
-    a = node_index[:-1, :-1]
-    b = node_index[1:, :-1]
-    c = node_index[1:, 1:]
-    d = node_index[:-1, 1:]
-    keep = (a >= 0) | (b >= 0) | (c >= 0) | (d >= 0)
-    A, B, C, D = a[keep], b[keep], c[keep], d[keep]
-    cell_ij = np.argwhere(keep)
-    ncell = A.size
-    rows = np.arange(ncell)
-    h = grid.h
+    Indices are int32, which scipy also picks for every grid below MAX_GRID_NODES."""
+    mask = grid.mask
+    dof_nodes = np.argwhere(mask)
     ndof = dof_nodes.shape[0]
-    # lower triangle (A, B, C): gx = (B - A)/h, gy = (C - B)/h
-    # upper triangle (A, D, C): gx = (C - D)/h, gy = (D - A)/h
-    G = sp.vstack([
-        _gradient_matrix(rows, B, A, h, ncell, ndof),
-        _gradient_matrix(rows, C, D, h, ncell, ndof),
-        _gradient_matrix(rows, C, B, h, ncell, ndof),
-        _gradient_matrix(rows, D, A, h, ncell, ndof),
-    ]).tocsr()
-    ntri = 2 * ncell
-    return Triangulation(grid, dof_nodes, cell_ij, G,
-                         G[:ntri].T.tocsr(), G[ntri:].T.tocsr())
+    node_index = np.full(mask.shape, -1, dtype=np.int32)
+    node_index[mask] = np.arange(ndof)
+    # cells with at least one interior corner carry energy; their corners A, B, C, D
+    keep = mask[:-1, :-1] | mask[1:, :-1] | mask[1:, 1:] | mask[:-1, 1:]
+    cell_ij = np.argwhere(keep)
+    cell_nodes = np.stack([node_index[:-1, :-1][keep], node_index[1:, :-1][keep],
+                           node_index[1:, 1:][keep], node_index[:-1, 1:][keep]], axis=1)
+    ncell = cell_nodes.shape[0]
+    cell_index = np.full(mask.shape, -1, dtype=np.int32)  # of cell (i, j) at node (i, j)
+    cell_index[:-1, :-1][keep] = np.arange(ncell)
+    # node (i, j) is corner A of cell (i, j), B of (i-1, j), C of (i-1, j-1) and D of (i, j-1): all four
+    # are kept and inside the frame, whose outer rows and columns hold no interior node (DomainGrid)
+    ny = mask.shape[1]
+    node_cells = cell_index.ravel()[np.flatnonzero(mask)[:, None] - (0, ny, ny + 1, 1)]
+    inv_h = 1.0 / grid.h
+    # a row of G holds -1/h at its lower node and 1/h at its higher one (HATS), either of them possibly
+    # off the mask: x rows of the lower (A, B, C) and upper (A, D, C) triangles, then their y rows
+    A, B, C, D = cell_nodes.T
+    cols = np.stack([np.concatenate([A, D, B, A]), np.concatenate([B, C, C, D])], axis=1).ravel()
+    on = cols >= 0
+    at = np.flatnonzero(on)
+    indptr = np.zeros(4 * ncell + 1, dtype=np.int32)
+    np.cumsum(on[0::2].view(np.int8) + on[1::2].view(np.int8), out=indptr[1:])
+    G = sp.csr_matrix((np.take([-inv_h, inv_h], at & 1), np.take(cols, at), indptr), shape=(4 * ncell, ndof))
+    # the transposes: a node's four triangles in each of Gx and Gy, lower then upper, each in CELL_ORDER
+    shift = np.array([0, 0, ncell, ncell], dtype=np.int32)
+    GxT, GyT = (sp.csr_matrix((np.tile([inv_h, -inv_h], 2 * ndof), (node_cells[:, order] + shift).ravel(),
+                               np.arange(0, 4 * ndof + 1, 4, dtype=np.int32)), shape=(ndof, 2 * ncell))
+                for order in ([1, 0, 2, 3], [2, 1, 3, 0]))
+    return Triangulation(grid, dof_nodes, cell_ij, G, GxT, GyT, cell_nodes, node_cells)
 
 
 @dataclass

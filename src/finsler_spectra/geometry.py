@@ -194,6 +194,18 @@ class DomainGrid:
     ny: int
     mask: np.ndarray  # bool (nx, ny), True on interior nodes
 
+    def __post_init__(self):
+        m = self.mask
+        if m.shape != (self.nx, self.ny):
+            raise ValueError(f"DomainGrid: mask shape {m.shape} is not (nx, ny) = ({self.nx}, {self.ny})")
+        # the mesh's cells around an interior node must lie in the frame; four edge counts are
+        # cheap enough for the components and part masks that a lambda_2 search builds
+        for edge, nodes in (("i = 0", m[0]), ("i = nx - 1", m[-1]),
+                            ("j = 0", m[:, 0]), ("j = ny - 1", m[:, -1])):
+            if np.count_nonzero(nodes):
+                raise ValueError(f"DomainGrid: the mask reaches the frame's edge {edge}; interior "
+                                 "nodes need an empty node row and column on every side")
+
     @property
     def interior_count(self) -> int:
         return int(self.mask.sum())

@@ -240,7 +240,7 @@ class DualityReport:
 def check_duality(norm: NormSpec, sample_count: int) -> DualityReport:
     """Evaluate the duality identities on deterministic nonzero samples."""
     if sample_count < 1:
-        raise ValueError("sample_count must be >= 1")
+        raise ValueError(f"sample_count must be >= 1, got {sample_count!r}")
     rng = np.random.default_rng(0)
     xi = rng.normal(size=(sample_count, 2))
     radii = 10.0 ** rng.uniform(-2.0, 2.0, size=sample_count)

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -160,6 +162,110 @@ def reference_gradient_matrices(grid):
     Gx = sp.vstack([block(rows, B, A, h, A.size, ndof), block(rows, C, D, h, A.size, ndof)]).tocsr()
     Gy = sp.vstack([block(rows, C, B, h, A.size, ndof), block(rows, D, A, h, A.size, ndof)]).tocsr()
     return Gx, Gy
+
+
+def reference_triangulation_matrices(grid):
+    """(G, GxT, GyT) as triangulate assembled them before it wrote them from the cell corners:
+    four COO blocks stacked, then transposed through scipy."""
+    import scipy.sparse as sp
+
+    def block(rows, plus, minus, h, ntri, ndof):
+        mp = plus >= 0
+        mm = minus >= 0
+        data = np.concatenate([np.full(mp.sum(), 1.0 / h), np.full(mm.sum(), -1.0 / h)])
+        ij = (np.concatenate([rows[mp], rows[mm]]), np.concatenate([plus[mp], minus[mm]]))
+        return sp.csr_matrix((data, ij), shape=(ntri, ndof))
+
+    mask = grid.mask
+    node_index = -np.ones(mask.shape, dtype=np.int64)
+    ndof = int(mask.sum())
+    node_index[mask] = np.arange(ndof)
+    a, b = node_index[:-1, :-1], node_index[1:, :-1]
+    c, d = node_index[1:, 1:], node_index[:-1, 1:]
+    keep = (a >= 0) | (b >= 0) | (c >= 0) | (d >= 0)
+    A, B, C, D = a[keep], b[keep], c[keep], d[keep]
+    ncell = A.size
+    rows = np.arange(ncell)
+    h = grid.h
+    G = sp.vstack([
+        block(rows, B, A, h, ncell, ndof),
+        block(rows, C, D, h, ncell, ndof),
+        block(rows, C, B, h, ncell, ndof),
+        block(rows, D, A, h, ncell, ndof),
+    ]).tocsr()
+    ntri = 2 * ncell
+    return G, G[:ntri].T.tocsr(), G[ntri:].T.tocsr()
+
+
+def reference_newton_arrays(G, area, ndof):
+    """(perm, rank, rows, cols, w, band, map) of eigensolve._NewtonMatrix as it was built from G
+    before it read the cell corners: every term of G^T K G as COO, its RCM graph and np.unique."""
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    n, nt = ndof, G.shape[0] // 2
+    G = G.tocoo()
+    order = np.argsort(G.row % nt, kind="stable")
+    t = G.row[order] % nt
+    slot = np.arange(t.size) - np.searchsorted(t, t)
+    node, block, value = (np.zeros((nt, 4), dtype=dt) for dt in (np.int64, np.int64, float))
+    node[t, slot], block[t, slot], value[t, slot] = G.col[order], G.row[order] // nt, G.data[order]
+    j = np.arange(n)
+    terms = [(node[:, a], node[:, b], (block[:, a] + block[:, b]) * nt + np.arange(nt),
+              area * value[:, a] * value[:, b]) for a in range(4) for b in range(4)]
+    terms.append((j, j, 3 * nt + j, np.ones(n)))
+    rows, cols, coef, vals = (np.concatenate(x) for x in zip(*terms))
+    keep = vals != 0.0
+    rows, cols, coef, vals = (x[keep] for x in (rows, cols, coef, vals))
+    perm = reverse_cuthill_mckee(sp.csr_matrix((vals, (rows, cols))), symmetric_mode=True)
+    rank = np.argsort(perm)
+    keys, pos = np.unique(rank[rows] * n + rank[cols], return_inverse=True)
+    mapping = sp.csr_matrix((vals, (pos, coef)), shape=(keys.size, 3 * nt + n))
+    krows, kcols = keys // n, keys % n
+    w = int(np.abs(krows - kcols).max(initial=0))
+    return perm, rank, krows, kcols, w, (2 * w + krows - kcols, kcols), mapping
+
+
+def reference_stiffness(tri, norm):
+    """The p=2 stiffness of eigensolve._LinearPairs as sparse products of the gradient matrices."""
+    return (tri.area * (norm.w1 * (tri.GxT @ tri.Gx) + norm.w2 * (tri.GyT @ tri.Gy))).tocsc()
+
+
+def same_sparse(a, b) -> bool:
+    """Equal class, shape and indptr, indices and data arrays, dtypes included."""
+    return (type(a) is type(b) and a.shape == b.shape
+            and all(x.dtype == y.dtype and np.array_equal(x, y)
+                    for x, y in ((a.indptr, b.indptr), (a.indices, b.indices), (a.data, b.data))))
+
+
+@functools.lru_cache(maxsize=None)
+def assembly_grids():
+    """Grids whose operators are compared with the reference assemblies, by name: from one node
+    to ~20,000 dofs, strips one node wide, holes, several components and a diagonal contact."""
+    def framed(mask, h):
+        return fs.DomainGrid((0.0, 0.0), h, mask.shape[0], mask.shape[1], mask)
+
+    one = np.zeros((3, 3), dtype=bool)
+    one[1, 1] = True
+    row, col = np.zeros((3, 12), dtype=bool), np.zeros((12, 3), dtype=bool)
+    row[1, 1:11] = col[1:11, 1] = True
+    blocks = np.zeros((16, 16), dtype=bool)
+    blocks[2:8, 2:8] = blocks[8:14, 8:14] = True
+    holed = fs.shape(fs.rectangle(0.0, 0.0, 1.0, 1.0), fs.rectangle(0.3, 0.3, 0.7, 0.7, mode="subtract"))
+    return {
+        "one node": framed(one, 0.5),
+        "one-row strip": framed(row, 0.125),
+        "one-column strip": framed(col, 0.125),
+        "square h=1/4": fs.rasterize(unit_square_spec(), 1.0 / 4),
+        "square h=1/16": fs.rasterize(unit_square_spec(), 1.0 / 16),
+        "L-shape h=1/16": fs.rasterize(lshape_spec(), 1.0 / 16),
+        "two disks h=1/8": fs.rasterize(two_disk_spec(), 1.0 / 8),
+        "diagonal blocks": framed(blocks, 1.0 / 6),
+        "square with a hole h=1/16": fs.rasterize(holed, 1.0 / 16),
+        "rectangle 2x1 h=1/24": fs.rasterize(rect21_spec(), 1.0 / 24),
+        "square h=1/64": fs.rasterize(unit_square_spec(), 1.0 / 64),
+        "two disks h=1/64": fs.rasterize(two_disk_spec(), 1.0 / 64),
+    }
 
 
 def reference_mass_root(tri, values, p):

@@ -15,6 +15,7 @@ from finsler_spectra.fem import ScalarField
 
 from conftest import (
     ALL_NORMS,
+    assembly_grids,
     lshape_spec,
     rect21_spec,
     reference_energy_from_terms,
@@ -23,8 +24,11 @@ from conftest import (
     reference_gradient_matrices,
     reference_mass_gradient,
     reference_mass_root,
+    reference_newton_arrays,
+    reference_stiffness,
     reference_tangent_gradient,
     same_bits,
+    same_sparse,
     two_disk_spec,
     unit_square_spec,
 )
@@ -1050,3 +1054,28 @@ def test_lean_step_is_bit_identical_to_reference(lshape_14, family, p, eps, scal
             assert same_bits(math.sqrt(x @ x), np.linalg.norm(x))
     for t in (1e-300, 1e-16, 0.37, 5.0, 1e12, 3e20):
         assert same_bits(min(max(t, 1e-16), 1e12), float(np.clip(t, 1e-16, 1e12)))
+
+
+@pytest.mark.parametrize("name", list(assembly_grids()))
+def test_newton_matrix_equals_the_reference_assembly(name):
+    # read from the cell corners and the 7-point stencil, every array of the Newton matrix is the one
+    # built from the COO terms of G^T K G, so the band LU and every iterate keep their bits
+    from finsler_spectra.eigensolve import _NewtonMatrix
+
+    tri = fs.triangulate(assembly_grids()[name])
+    kkt = _NewtonMatrix(tri)
+    perm, rank, rows, cols, w, band, mapping = reference_newton_arrays(tri.G, tri.area, tri.ndof)
+    ours = (kkt.perm, kkt.rank, kkt.rows, kkt.cols, *kkt.band)
+    for ours, ref in zip(ours, (perm, rank, rows, cols, *band)):
+        assert ours.dtype == ref.dtype and np.array_equal(ours, ref)
+    assert kkt.w == w and type(kkt.w) is int
+    assert same_sparse(kkt.map, mapping)
+
+
+@pytest.mark.parametrize("family", list(ALL_NORMS))
+@pytest.mark.parametrize("name", list(assembly_grids()))
+def test_stiffness_equals_the_reference_products(name, family):
+    from finsler_spectra.eigensolve import _stiffness
+
+    tri = fs.triangulate(assembly_grids()[name])
+    assert same_sparse(_stiffness(tri, ALL_NORMS[family]), reference_stiffness(tri, ALL_NORMS[family]))

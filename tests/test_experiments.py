@@ -2,6 +2,7 @@ import json
 import logging
 import os
 import re
+import time
 
 import numpy as np
 import pytest
@@ -232,6 +233,15 @@ def test_check_duality_rejects_a_norm_that_is_not_an_object(capsys):
     assert err.startswith("finsler-spectra: ") and "norm" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_check_duality_refuses_fewer_than_one_sample_with_exit_code_2(capsys, samples):
+    assert cli.main(["check-duality", "--norm", '{"family": "euclidean"}', "--samples", samples]) == 2
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert line.startswith("finsler-spectra: --samples: ") and line.endswith(f"got {samples}")
+    assert captured.out == "" and "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("text, named", [
     (json.dumps({"experiment": "lambda1", "domain": 5, "norm": {"family": "euclidean"},
                  "h": 0.125}), "domain"),
@@ -352,6 +362,33 @@ def test_cli_run_exits_3_with_one_line_when_a_solve_does_not_converge(tmp_path, 
     else:
         assert err == "" and (tmp_path / "out" / "report.json").exists()
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("where", ["--out", "config"])
+def test_cli_run_refuses_an_output_path_that_is_a_file_before_running(tmp_path, capsys, monkeypatch, where):
+    taken = tmp_path / "taken.txt"
+    taken.write_text("not a directory\n")
+    cfg_path = tmp_path / "tiny.json"
+    in_config = {"out": str(taken)} if where == "config" else {}
+    cfg_path.write_text(json.dumps(_valid_config(h=0.125, **in_config)))
+    runs = []
+    monkeypatch.setattr(fs.experiments, "run", lambda cfg: runs.append(cfg))
+    argv = ["run", "--config", str(cfg_path)] + (["--out", str(taken)] if where == "--out" else [])
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"finsler-spectra: {taken}: ") and "existing file" in line
+    assert runs == [] and captured.out == "" and "Traceback" not in captured.err
+    assert taken.read_text() == "not a directory\n"
+
+
+def test_cli_run_exits_2_with_one_line_when_the_report_cannot_be_written(tmp_path, capsys):
+    cfg_path = tmp_path / "tiny.json"
+    cfg_path.write_text(json.dumps(_valid_config(h=0.125)))
+    (tmp_path / "out" / "report.json").mkdir(parents=True)  # a directory where the report goes
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("finsler-spectra: could not write report to ") and "report.json" in line
 
 
 def test_debug_log_leaves_distance_report_unchanged(tmp_path, monkeypatch, capsys):
@@ -744,7 +781,7 @@ def test_kept_rungs_give_the_lambda1_of_a_fresh_climb(monkeypatch, caplog, domai
     monkeypatch.setattr(eigensolve, "solve_lambda1", recorded)
     run(base_cfg(domain=domain, h=1.0 / 8, p_list=p_list))
     (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("grid context:")]
-    assert re.search(r"rungs built=(\d+) reused=(\d+)$", line).groups() == tuple(map(str, rungs))
+    assert re.search(r"rungs built=(\d+) reused=(\d+) build_s=\S+$", line).groups() == tuple(map(str, rungs))
     assert [args[2] for args, _ in seen] == p_list
     for args, kept in seen:
         fresh = solve_lambda1(*args)
@@ -839,10 +876,10 @@ def test_grid_context_ends_with_the_run(monkeypatch):
 def test_grid_context_logs_one_debug_line_per_run(tmp_path, monkeypatch, capsys):
     cfg_path = tmp_path / "hks.json"
     cfg_path.write_text(json.dumps(hks_config()))
-    pattern = re.compile(r"grid context: triangulations built=(\d+) reused=(\d+); "
-                         r"p2_factorizations built=(\d+) reused=(\d+); "
-                         r"newton_matrices built=(\d+) reused=(\d+); "
-                         r"rungs built=(\d+) reused=(\d+)$")
+    pattern = re.compile(r"grid context: triangulations built=(\d+) reused=(\d+) build_s=\S+; "
+                         r"p2_factorizations built=(\d+) reused=(\d+) build_s=\S+; "
+                         r"newton_matrices built=(\d+) reused=(\d+) build_s=\S+; "
+                         r"rungs built=(\d+) reused=(\d+) build_s=\S+$")
     reports = []
     for level in ("error", "debug"):
         monkeypatch.setenv("FS_LOG", level)
@@ -860,6 +897,29 @@ def test_grid_context_logs_one_debug_line_per_run(tmp_path, monkeypatch, capsys)
         assert all(counts)
     assert reports[0] == reports[1]
     assert b"grid context" not in reports[1]
+
+
+def test_grid_context_line_gives_each_kind_its_build_seconds(caplog, monkeypatch):
+    from finsler_spectra import eigensolve
+
+    caplog.set_level(logging.DEBUG, logger="finsler_spectra")
+    triangulate = eigensolve.triangulate
+
+    def slow_triangulate(grid):
+        time.sleep(0.01)
+        return triangulate(grid)
+
+    monkeypatch.setattr(eigensolve, "triangulate", slow_triangulate)
+    rep = run(ExperimentConfig.from_dict(dict(hks_config(), p_list=[2.0, 3.0])))
+    (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("grid context:")]
+    kinds = re.findall(r"(\w+) built=(\d+) reused=(\d+) build_s=(\d+\.\d{4})(?:; |$)", line)
+    assert [k for k, *_ in kinds] == list(eigensolve._KINDS)
+    seconds = {k: (int(built), float(s)) for k, built, _, s in kinds}
+    assert all(s > 0.0 if built else s == 0.0 for built, s in seconds.values())
+    built, s = seconds["triangulations"]
+    assert built > 0 and s >= 0.01 * built
+    # the seconds go to the log only
+    assert "build_s" not in report_json(rep)
 
 
 EIGEN_RUNNERS = {  # experiment: (domains rasterized, top-level solves per p, in order)
@@ -927,10 +987,10 @@ def test_one_info_line_per_top_level_solve(tmp_path, monkeypatch, capsys, experi
 
 def test_a_repeated_p_is_solved_again_from_the_grid_context(caplog):
     caplog.set_level(logging.DEBUG, logger="finsler_spectra")
-    pattern = re.compile(r"grid context: triangulations built=(\d+) reused=(\d+); "
-                         r"p2_factorizations built=(\d+) reused=(\d+); "
-                         r"newton_matrices built=(\d+) reused=(\d+); "
-                         r"rungs built=(\d+) reused=(\d+)$")
+    pattern = re.compile(r"grid context: triangulations built=(\d+) reused=(\d+) build_s=\S+; "
+                         r"p2_factorizations built=(\d+) reused=(\d+) build_s=\S+; "
+                         r"newton_matrices built=(\d+) reused=(\d+) build_s=\S+; "
+                         r"rungs built=(\d+) reused=(\d+) build_s=\S+$")
     results = {}
     for p_list in ([2.0, 3.0], [2.0, 3.0, 3.0]):
         caplog.clear()

@@ -5,7 +5,8 @@ import finsler_spectra as fs
 from finsler_spectra.fem import (ScalarField, energy_from_terms, energy_terms, gradient_from_terms,
                                  mass_gradient, mass_p)
 
-from conftest import ALL_NORMS, same_bits, unit_square_spec
+from conftest import (ALL_NORMS, assembly_grids, reference_triangulation_matrices, same_bits, same_sparse,
+                      unit_square_spec)
 
 
 @pytest.fixture(scope="module")
@@ -198,3 +199,32 @@ def test_field_shape_validation(tri16):
         ScalarField(tri16, np.zeros(tri16.ndof + 1))
     with pytest.raises(ValueError):
         fs.energy_p(ScalarField(tri16, np.zeros(tri16.ndof)), fs.euclidean(), 1.0)
+
+
+@pytest.mark.parametrize("name", list(assembly_grids()))
+def test_triangulation_matrices_equal_the_reference_assembly(name):
+    # written from the cell corners, G, GxT and GyT keep the arrays and dtypes of the COO assembly
+    grid = assembly_grids()[name]
+    tri = fs.triangulate(grid)
+    for ours, ref in zip((tri.G, tri.GxT, tri.GyT), reference_triangulation_matrices(grid)):
+        assert same_sparse(ours, ref)
+        assert ours.has_canonical_format
+
+
+@pytest.mark.parametrize("name", list(assembly_grids()))
+def test_triangulation_corner_tables_invert_each_other(name):
+    tri = fs.triangulate(assembly_grids()[name])
+    n, ncell = tri.ndof, tri.cell_nodes.shape[0]
+    # every dof is corner A, B, C and D of exactly one kept cell, and that cell has it there
+    assert tri.node_cells.shape == (n, 4) and tri.node_cells.min(initial=0) >= 0
+    assert np.array_equal(tri.cell_nodes[tri.node_cells, np.arange(4)], np.tile(np.arange(n)[:, None], 4))
+    assert np.count_nonzero(tri.cell_nodes >= 0) == 4 * n and ncell == tri.ntri // 2
+    ij, mask = tri.dof_nodes, tri.grid.mask
+    nbr = tri.stencil()
+    for s, (di, dj) in enumerate(fs.fem.STENCIL):
+        inside = mask[ij[:, 0] + di, ij[:, 1] + dj]
+        assert np.array_equal(nbr[:, s] >= 0, inside)
+        assert np.array_equal(tri.dof_nodes[nbr[inside, s]], ij[inside] + (di, dj))
+    # a row lists its neighbours in dof order
+    ordered = np.sort(nbr, axis=1)
+    assert np.array_equal(nbr[nbr >= 0], ordered[ordered >= 0])

@@ -37,6 +37,28 @@ def test_blocks_touching_on_the_mesh_diagonal_are_one_component():
     assert fs.DomainGrid((0.0, 0.0), 1.0 / 6, 16, 16, flipped).num_components == 2
 
 
+@pytest.mark.parametrize("edge, row", [("i = 0", np.s_[0, 1:3]), ("i = nx - 1", np.s_[4, 1:3]),
+                                       ("j = 0", np.s_[1:3, 0]), ("j = ny - 1", np.s_[1:3, 3])])
+def test_a_mask_on_the_frame_edge_is_refused_naming_the_edge(edge, row):
+    # the triangulation would drop the cells outside the frame; lambda_1 of the full 4 x 4
+    # mask ended in "linear p=2 oracle did not converge: k=1, residual=7.55e+15"
+    with pytest.raises(ValueError, match="i = 0"):
+        fs.DomainGrid((0.25, 0.25), 0.25, 4, 4, np.ones((4, 4), bool))
+    mask = np.zeros((5, 4), dtype=bool)
+    mask[1:4, 1:3] = True
+    fs.DomainGrid((0.0, 0.0), 0.25, 5, 4, mask)
+    mask[row] = True
+    with pytest.raises(ValueError, match=f"frame's edge {edge};"):
+        fs.DomainGrid((0.0, 0.0), 0.25, 5, 4, mask)
+
+
+def test_a_mask_of_another_shape_than_the_frame_is_refused():
+    mask = np.zeros((5, 4), dtype=bool)
+    mask[2, 2] = True
+    with pytest.raises(ValueError, match=r"mask shape \(5, 4\) is not \(nx, ny\) = \(4, 5\)"):
+        fs.DomainGrid((0.0, 0.0), 0.25, 4, 5, mask)
+
+
 def test_frame_domain_measure():
     spec = fs.shape(
         fs.rectangle(0, 0, 1, 1),
