@@ -5,20 +5,22 @@ F_polar(x - y).  Every polar norm is an l_q' norm after a coordinate scale,
 F_polar(x) = ||x / sqrt(w)||_q' with q' = q/(q-1) (`norms.minkowski_frame`),
 and ||z||_q' >= a|z| with a = min(1, 2^(1/q' - 1/2)).  So Euclidean
 `scipy.spatial.cKDTree` passes over the scaled nodes, far cheaper than the
-metric p = q', select the ring nodes within (1 + _SLACK) r/a as candidates,
-r the polar distance to the Euclidean-nearest ring node: one dual-tree pass
-per block of _BLOCK nodes in order of r, at the block's largest radius, cut
-to each node's own.  The minimum of `eval_norm` over them is bit-identical to
-the all-pairs minimum, as the true minimizer is among them.  The eikonal
-check selects its near-minimizers the same way.
+metric p = q', select the ring nodes within (1 + _SLACK)(r + h)/a as
+candidates, r the polar distance to the Euclidean-nearest ring node: one
+dual-tree pass per block of _BLOCK nodes in order of r, at the block's
+largest radius, cut to each node's own.  A node meets all its candidates in
+its own block, so there its minimum of `eval_norm` is final, bit-identical to
+the all-pairs minimum as the true minimizer is among them, and the same
+candidates give the spread of its near-minimizers (within h of it) that the
+eikonal check reads.
 
 `sup_rayleigh` maximizes a quotient over all node pairs by branch and bound:
 a lower bound L comes from short pairs, the nodes are split into value
-bands, and a pair (i, j) with j in a band of minimum value m can only beat
-L if F_polar(x_i - x_j) < (v_i - m) / L.  Each value-ordered block of nodes
-meets each band in one such pass; only the pairs inside those radii (times
-1/a in the tree) are scored, with the all-pairs expression, so the maximum
-is exact.
+bands, and each value-ordered block of nodes meets each band in one pass at
+the largest radius (v_i - m) / L, m the band's least value.  A pair (i, j)
+can only beat L if F_polar(x_i - x_j) < (v_i - v_j) / L, so only the pairs
+inside that radius (times 1/a in the tree) are scored, with the all-pairs
+expression, and the maximum is exact.
 """
 from __future__ import annotations
 
@@ -47,12 +49,14 @@ _RIDGE_SPREAD = 3.0     # cells of near-minimizer spread that flag a ridge node 
 
 @dataclass(frozen=True)
 class DistanceField:
-    """Per-node boundary distance in the polar norm, with its maximum."""
+    """Per-node boundary distance in the polar norm, with its maximum, and per interior
+    node the bounding-box diagonal of the ring nodes within h of its distance."""
 
     grid: DomainGrid
     d: np.ndarray             # (nx, ny), 0 outside the mask
     rho_f: float
     argmax_node: Tuple[int, int]
+    spread: np.ndarray        # (interior_count,), in the order of grid.mask's nodes
 
     def as_field(self, tri) -> ScalarField:
         return ScalarField.from_grid_array(tri, self.d)
@@ -71,12 +75,12 @@ def _euclidean_frame(pol: NormSpec):
     return minkowski_frame(pol), 1.0 / linear_bounds(NormSpec(q=pol.q))[0]
 
 
-def _within(source: cKDTree, target: cKDTree, reach: np.ndarray):
-    """(i, j) index arrays of the source and target points within Euclidean
-    distance reach[i]: one dual-tree pass at max(reach), then filtered per row."""
+def _within(source: cKDTree, target: cKDTree, reach: np.ndarray, rows: np.ndarray):
+    """(rows[i], j) index arrays of the source and target points within Euclidean
+    distance reach[i]: one dual-tree pass at max(reach), then cut per row."""
     near = source.sparse_distance_matrix(target, reach.max(), output_type="ndarray")
     keep = near["v"] <= reach[near["i"]]
-    return near["i"][keep], near["j"][keep]
+    return rows[near["i"][keep]], near["j"][keep]
 
 
 def _ball_pairs(tree: cKDTree, pts: np.ndarray, radius: np.ndarray):
@@ -85,12 +89,12 @@ def _ball_pairs(tree: cKDTree, pts: np.ndarray, radius: np.ndarray):
     order = np.argsort(radius)
     for lo in range(0, len(pts), _BLOCK):
         rows = order[lo:lo + _BLOCK]
-        i, j = _within(cKDTree(pts[rows]), tree, radius[rows])
-        yield rows[i], j
+        yield _within(cKDTree(pts[rows]), tree, radius[rows], rows)  # no pair array kept between blocks
 
 
 def distance_transform(grid: DomainGrid, norm: NormSpec) -> DistanceField:
-    """d(x) = min over boundary nodes y of F_polar(x - y), for interior x."""
+    """d(x) = min over boundary nodes y of F_polar(x - y), for interior x, and
+    the spread of the y with F_polar(x - y) <= d(x) + h."""
     if grid.interior_count == 0:
         raise ValueError("distance_transform: empty grid")
     pol = polar(norm)
@@ -99,17 +103,26 @@ def distance_transform(grid: DomainGrid, norm: NormSpec) -> DistanceField:
     inodes = np.argwhere(grid.mask)
     ipts = grid.node_points(inodes)
     tree = cKDTree(bpts * scale)
-    _, nearest = tree.query(ipts * scale, k=1)
-    d = eval_norm(pol, ipts - bpts[nearest])  # an upper bound of the minimum
-    pairs = 0
-    for rows, cols in _ball_pairs(tree, ipts * scale, d * (1.0 + _SLACK) * widen):
-        np.minimum.at(d, rows, eval_norm(pol, ipts[rows] - bpts[cols]))
-        pairs += len(rows)
-    log.debug("distance_transform: nodes=%d ring=%d pairs=%d", len(ipts), len(bpts), pairs)
+    d = eval_norm(pol, ipts - bpts[tree.query(ipts * scale, k=1)[1]])  # an upper bound of the minimum
+    lo = np.full((2, len(ipts)), np.inf)   # per coordinate: 1-D ufunc.at is far cheaper than 2-D
+    hi = np.full((2, len(ipts)), -np.inf)
+    scored = minimizers = 0
+    for rows, cols in _ball_pairs(tree, ipts * scale, (d + grid.h) * (1.0 + _SLACK) * widen):
+        dist = eval_norm(pol, ipts[rows] - bpts[cols])
+        np.minimum.at(d, rows, dist)  # final for these rows: each meets all its candidates here
+        scored += len(rows)
+        near = dist <= d[rows] + grid.h
+        rows, cols = rows[near], cols[near]
+        minimizers += len(rows)
+        for k in range(2):
+            np.minimum.at(lo[k], rows, bpts[cols, k])
+            np.maximum.at(hi[k], rows, bpts[cols, k])
+        del rows, cols, dist, near  # freed before the next pass allocates its pairs, which sets the peak memory
+    log.debug("distance_transform: nodes=%d ring=%d pairs=%d near=%d", len(ipts), len(bpts), scored, minimizers)
     out = np.zeros((grid.nx, grid.ny))
     out[grid.mask] = d
-    k = int(np.argmax(d))
-    return DistanceField(grid, out, float(d[k]), (int(inodes[k, 0]), int(inodes[k, 1])))
+    k = int(np.argmax(d))  # every node has a near-minimizer, its own minimizer, so lo and hi are finite
+    return DistanceField(grid, out, float(d[k]), (int(inodes[k, 0]), int(inodes[k, 1])), np.hypot(*(hi - lo)))
 
 
 def inradius(field: DistanceField) -> Tuple[float, Tuple[int, int]]:
@@ -207,15 +220,16 @@ def sup_rayleigh(field: ScalarField, norm: NormSpec) -> float:
             ratio = np.where(dist_sq > 0.0, dval * dval / dist_sq, 0.0)
         return float(ratio.max(initial=0.0))
 
-    # seed: pairs within three cells, and the peak node against its nearest
-    # ring node, which keeps the bound positive for any nonzero field
-    near = cKDTree(spts).query_pairs(3.0 * grid.h * linear_bounds(pol)[1] * widen,
-                                     output_type="ndarray")
+    # seed: pairs within three cells, scored in chunks of 64 blocks to bound the
+    # memory held at once, and the peak node against its nearest ring node,
+    # which keeps the bound positive for any nonzero field
+    near = cKDTree(spts).query_pairs(3.0 * grid.h * linear_bounds(pol)[1] * widen, output_type="ndarray")
     top = int(np.argmax(np.abs(vals)))
     ring = len(ipts) + int(np.argmin(eval_norm(pol, bpts - pts[top])))
-    lip_sq = max(ratio_sq(near[:, 0], near[:, 1]), ratio_sq(top, ring))
+    chunks = (near[k:k + 64 * _BLOCK] for k in range(0, len(near), 64 * _BLOCK))
+    lip_sq = max(ratio_sq(top, ring), *(ratio_sq(c[:, 0], c[:, 1]) for c in chunks))
     examined = len(near) + 1
-    # a pair (i, j) with v_j >= m beats the bound L only if F_polar(x_i - x_j) < (v_i - m) / L
+    # a pair (i, j) beats the bound L only if F_polar(x_i - x_j) < (v_i - v_j) / L
     order = np.argsort(vals)
     blocks = [(rows, cKDTree(spts[rows])) for rows in np.split(order, range(_BLOCK, len(order), _BLOCK))]
     for band in np.array_split(order, min(_BANDS, len(vals))):
@@ -223,50 +237,30 @@ def sup_rayleigh(field: ScalarField, norm: NormSpec) -> float:
         target = cKDTree(spts[band])
         for rows, source in blocks:
             if vals[rows[-1]] > low:
-                reach = (vals[rows] - low) / np.sqrt(lip_sq) * (1.0 + _SLACK) * widen
-                i, j = _within(source, target, np.where(reach > 0.0, reach, -1.0))  # rows at v_i = m cannot win
-                lip_sq = max(lip_sq, ratio_sq(rows[i], band[j]))
-                examined += len(i)
-    log.debug("sup_rayleigh: nodes=%d ring=%d pairs=%d all_pairs=%d",
-              len(pts), len(bpts), examined, len(pts) ** 2)
+                per_gap = (1.0 + _SLACK) * widen / np.sqrt(lip_sq)
+                near = source.sparse_distance_matrix(target, (vals[rows[-1]] - low) * per_gap, output_type="ndarray")
+                i, j = rows[near["i"]], band[near["j"]]
+                keep = near["v"] < (vals[i] - vals[j]) * per_gap
+                lip_sq = max(lip_sq, ratio_sq(i[keep], j[keep]))
+                examined += int(keep.sum())
+    log.debug("sup_rayleigh: nodes=%d ring=%d pairs=%d all_pairs=%d", len(pts), len(bpts), examined, len(pts) ** 2)
     return float(np.sqrt(lip_sq)) / peak
 
 
 def eikonal_bulk_fraction(field: DistanceField, norm: NormSpec, tri) -> float:
     """Fraction of off-ridge interior triangles with |F(grad d) - 1| <= 0.1.
 
-    A node is ridge-flagged when the near-minimizing boundary nodes (within
-    one cell of optimal) spread over more than _RIDGE_SPREAD cells: there the
-    gradient of the distance is genuinely discontinuous.  Triangles touching
-    the boundary ring or a ridge node are excluded from the count.
+    A node is ridge-flagged when its near-minimizing boundary nodes (within
+    one cell of optimal, `DistanceField.spread`) spread over more than
+    _RIDGE_SPREAD cells: there the gradient of the distance is genuinely
+    discontinuous.  Triangles touching the boundary ring or a ridge node are
+    excluded from the count.
     """
     grid = field.grid
-    h = grid.h
-    pol = polar(norm)
-    scale, widen = _euclidean_frame(pol)
-    bpts = grid.node_points(grid.boundary_node_indices())
-    inodes = np.argwhere(grid.mask)
-    ipts = grid.node_points(inodes)
-    dvals = field.d[grid.mask]
-
-    lo = np.full((2, len(ipts)), np.inf)   # per coordinate: 1-D ufunc.at is far cheaper than 2-D
-    hi = np.full((2, len(ipts)), -np.inf)
-    counts = np.zeros(len(ipts), dtype=np.intp)
-    pairs = 0
-    tree = cKDTree(bpts * scale)
-    for rows, cols in _ball_pairs(tree, ipts * scale, (dvals + h) * (1.0 + _SLACK) * widen):
-        pairs += len(rows)
-        near = eval_norm(pol, ipts[rows] - bpts[cols]) <= dvals[rows] + h
-        rows, cols = rows[near], cols[near]
-        for k in range(2):
-            np.minimum.at(lo[k], rows, bpts[cols, k])
-            np.maximum.at(hi[k], rows, bpts[cols, k])
-        counts += np.bincount(rows, minlength=len(ipts))
-    spread = np.where(counts > 1, np.hypot(*(hi - lo)), 0.0)
-    log.debug("eikonal_bulk_fraction: nodes=%d ring=%d pairs=%d", len(ipts), len(bpts), pairs)
-    ridge = np.zeros(grid.mask.shape, dtype=bool)
-    ridge[grid.mask] = spread > _RIDGE_SPREAD * h
-    bad_node = ridge | grid.boundary_adjacent() | ~grid.mask
+    ridge = field.spread > _RIDGE_SPREAD * grid.h
+    log.debug("eikonal_bulk_fraction: nodes=%d ridge=%d", len(ridge), ridge.sum())
+    bad_node = grid.boundary_adjacent() | ~grid.mask
+    bad_node[grid.mask] |= ridge
 
     # a triangle is excluded when any corner of its cell is a flagged node
     ci, cj = tri.cell_ij[:, 0], tri.cell_ij[:, 1]

@@ -54,21 +54,21 @@ class ConvergenceError(RuntimeError):
     """Raised when an eigenvalue solve ends far from stationarity."""
 
 
-_KINDS = ("triangulations", "p2_factorizations", "newton_matrices", "rungs")
+_KINDS = ("triangulations", "p2_factorizations", "newton_matrices", "rungs", "components")
 
 
 class _GridContext:
     """What one experiments.run() computes once per grid and keeps for the run.
 
-    It holds the triangulations and the Newton matrices of lambda_1's
-    components, keyed by (h, origin, mask shape, mask bytes), the p=2
-    eigenpairs (one eigsh call serves k = 1 and 2), keyed by that and the
-    norm, and the cold ladder rungs of solve_lambda1; each under (kind, key)
-    of one store, with read-only arrays.  It is active only inside the
-    ``with`` block, and only experiments.run() opens one, so a direct library
-    call computes everything afresh and nothing outlives a run.  _kept is the
-    one path that reads the store.  ``seconds`` sums each kind's build time, a
-    build that triangulates its grid on the way included.
+    It holds each grid's components, and the triangulations and the Newton
+    matrices of lambda_1's components, keyed by (h, origin, mask shape, mask
+    bytes), the p=2 eigenpairs (one eigsh call serves k = 1 and 2), keyed by
+    that and the norm, and the cold ladder rungs of solve_lambda1; each under
+    (kind, key) of one store, with read-only arrays.  It is active only inside
+    the ``with`` block, and only experiments.run() opens one, so a direct
+    library call computes everything afresh and nothing outlives a run.  _kept
+    is the one path that reads the store.  ``seconds`` sums each kind's build
+    time, a build that triangulates its grid on the way included.
     """
 
     def __init__(self):
@@ -116,6 +116,11 @@ def _kept(kind: str, key, build, arrays=None):
         for a in arrays(value):
             a.flags.writeable = False
     return value
+
+
+def _components(grid: DomainGrid) -> List[DomainGrid]:
+    """components(grid), or inside experiments.run() the ones kept for grid's mask."""
+    return _kept("components", _grid_key(grid), lambda: components(grid), lambda parts: [c.mask for c in parts])
 
 
 def _triangulation(grid: DomainGrid) -> Triangulation:
@@ -477,7 +482,7 @@ def solve_lambda1(
         raise ValueError(f"initial must have the grid's shape {grid.mask.shape}, not {np.shape(initial)}")
     tri = _triangulation(grid)
     best, total = None, 0
-    parts = components(grid)
+    parts = _components(grid)
     for part in parts if len(parts) > 1 else [grid]:
         sub = tri if part is grid else _triangulation(part)
         kkt = _newton_matrix(sub)
@@ -740,7 +745,7 @@ def solve_lambda2(
     """
     if grid.interior_count < 2:
         raise ValueError("solve_lambda2 needs at least two interior nodes")
-    comps = components(grid)
+    comps = _components(grid)
     # a connected set has no component pair, so its lambda_1 is never needed
     firsts = [solve_lambda1(c, norm, p, opts) for c in comps] if len(comps) > 1 else [None]
     pairs = (BipartitionResult(ca.mask, cb.mask, a, b)

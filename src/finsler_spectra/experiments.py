@@ -28,7 +28,7 @@ from .eigensolve import SolverOptions
 from .fem import triangulate
 from .geometry import (DomainGrid, ShapeSpec, _check_keys, _grid_frame, _numbers, measure,
                        rasterize, shape, wulff)
-from .norms import NormSpec, _number, check_duality, norm_from_dict, wulff_measure
+from .norms import MAX_SAMPLES, NormSpec, _number, check_duality, norm_from_dict, wulff_measure
 
 log = logging.getLogger("finsler_spectra")
 
@@ -67,8 +67,8 @@ class ExperimentConfig:
             raise ValueError(f"p_list entries must lie in (1, inf), got {list(self.p_list)}")
         if not 0.0 <= self.tolerance < 1.0:
             raise ValueError(f"tolerance must be finite and in [0, 1), got {self.tolerance!r}")
-        if isinstance(self.samples, bool) or not isinstance(self.samples, int) or self.samples < 1:
-            raise ValueError(f"samples must be an integer >= 1, got {self.samples!r}")
+        if isinstance(self.samples, bool) or not isinstance(self.samples, int) or not 1 <= self.samples <= MAX_SAMPLES:
+            raise ValueError(f"samples must be an integer in [1, MAX_SAMPLES = {MAX_SAMPLES}], got {self.samples!r}")
         if self.out is not None and not isinstance(self.out, str):
             raise ValueError(f"out must be a path string or null, got {self.out!r}")
         _, nx, ny = _grid_frame(self.domain, self.h)  # rejects a frame above MAX_GRID_NODES

@@ -17,6 +17,8 @@ import numpy as np
 
 # inputs with |xi| below this are rejected by grad_norm
 DEGENERATE_NORM = 1e-14
+# most duality samples: check_duality holds about 190 bytes a sample, 0.2 GB at the limit
+MAX_SAMPLES = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -239,8 +241,8 @@ class DualityReport:
 
 def check_duality(norm: NormSpec, sample_count: int) -> DualityReport:
     """Evaluate the duality identities on deterministic nonzero samples."""
-    if sample_count < 1:
-        raise ValueError(f"sample_count must be >= 1, got {sample_count!r}")
+    if not 1 <= sample_count <= MAX_SAMPLES:
+        raise ValueError(f"sample_count must be in [1, MAX_SAMPLES = {MAX_SAMPLES}], got {sample_count!r}")
     rng = np.random.default_rng(0)
     xi = rng.normal(size=(sample_count, 2))
     radii = 10.0 ** rng.uniform(-2.0, 2.0, size=sample_count)

@@ -109,19 +109,27 @@ def brute_force_sup_rayleigh(field, norm):
     return float(np.sqrt(lip_sq)) / np.abs(field.values).max()
 
 
-def brute_force_eikonal_fraction(field, norm, tri, grad_tol=0.1, ridge_spread=3.0):
-    """eikonal_bulk_fraction with the ridge spread taken row by row over all ring nodes."""
+def brute_force_spread(field, norm):
+    """Per interior node, row by row over all ring nodes: the bounding-box diagonal
+    of the ring nodes within h of its distance, 0 where there is only one."""
     grid = field.grid
-    h = grid.h
     pol = fs.polar(norm)
     bpts = grid.node_points(grid.boundary_node_indices())
     ipts = grid.node_points(np.argwhere(grid.mask))
     dvals = field.d[grid.mask]
     spread = np.zeros(len(ipts))
     for k in range(len(ipts)):
-        near = bpts[fs.eval_norm(pol, ipts[k] - bpts) <= dvals[k] + h]
+        near = bpts[fs.eval_norm(pol, ipts[k] - bpts) <= dvals[k] + grid.h]
         if len(near) > 1:
             spread[k] = np.hypot(np.ptp(near[:, 0]), np.ptp(near[:, 1]))
+    return spread
+
+
+def brute_force_eikonal_fraction(field, norm, tri, grad_tol=0.1, ridge_spread=3.0):
+    """eikonal_bulk_fraction with the ridge spread taken row by row over all ring nodes."""
+    grid = field.grid
+    h = grid.h
+    spread = brute_force_spread(field, norm)
     ridge = np.zeros(grid.mask.shape, dtype=bool)
     ridge[grid.mask] = spread > ridge_spread * h
     bad = ridge | grid.boundary_adjacent() | ~grid.mask

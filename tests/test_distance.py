@@ -1,4 +1,5 @@
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -21,8 +22,10 @@ from conftest import (
     ALL_NORMS,
     brute_force_distance,
     brute_force_eikonal_fraction,
+    brute_force_spread,
     brute_force_sup_rayleigh,
     brute_force_two_wulff,
+    lshape_spec,
     offset_lshape_spec,
     rect21_spec,
     two_disk_spec,
@@ -305,7 +308,8 @@ def test_two_wulff_tie_between_the_last_two_levels_goes_to_the_lower():
     d = np.where(grid.mask, 0.25, 0.0)
     for k, val in ((0, 0.5), (64, 1.0), (128, 1.0)):
         d[tuple(nodes[k])] = val
-    pack = two_wulff_radius(distance.DistanceField(grid, d, 1.0, tuple(nodes[64])), fs.euclidean())
+    pack = two_wulff_radius(distance.DistanceField(grid, d, 1.0, tuple(nodes[64]), np.zeros(len(nodes))),
+                            fs.euclidean())
     assert pack.rho2 == 0.5
     assert pack.centers == (tuple(nodes[0]), tuple(nodes[128]))
 
@@ -459,6 +463,48 @@ def test_sup_rayleigh_equals_all_pairs_with_blocks_across_band_edges(norm, monke
         assert sup_rayleigh(u, norm) == brute_force_sup_rayleigh(u, norm)
 
 
+SPREAD_DOMAINS = {
+    "lshape": (lshape_spec, 1.0 / 16),
+    "two_disks": (two_disk_spec, 1.0 / 16),
+    "offset_lshape": (offset_lshape_spec, 1.0 / 32),
+}
+
+
+@pytest.mark.parametrize("nname", sorted(BLOCK_NORMS))
+@pytest.mark.parametrize("dname", sorted(SPREAD_DOMAINS))
+def test_spread_equals_the_all_ring_extent(dname, nname, monkeypatch):
+    # d_ub overshoots the true distance at q != 2, so the pass reaches further
+    # than d + h; 7-node blocks end on a partial block
+    spec_fn, h = SPREAD_DOMAINS[dname]
+    grid = fs.rasterize(spec_fn(), h)
+    norm = BLOCK_NORMS[nname]
+    df = distance_transform(grid, norm)
+    want = brute_force_spread(df, norm)
+    assert np.array_equal(df.spread, want)
+    assert (want > 3.0 * h).any() and (want <= 3.0 * h).any()  # ridge and off-ridge nodes
+    monkeypatch.setattr(distance, "_BLOCK", 7)
+    blocked = distance_transform(grid, norm)
+    assert np.array_equal(blocked.d, df.d) and np.array_equal(blocked.spread, df.spread)
+
+
+@pytest.mark.parametrize("block", [5, 512])
+@pytest.mark.parametrize("norm", [fs.euclidean(), fs.lq_norm(1.5), fs.weighted_quadratic(4.0, 1.0)],
+                         ids=["euclidean", "lq_1.5", "weighted_quadratic"])
+def test_sup_rayleigh_equals_all_pairs_on_signed_and_tied_fields(norm, block, monkeypatch):
+    monkeypatch.setattr(distance, "_BLOCK", block)
+    grid = fs.rasterize(offset_lshape_spec(), 1.0 / 16)
+    tri = fs.triangulate(grid)
+    n = tri.ndof
+    rng = np.random.default_rng(11)
+    fields = [rng.normal(size=n), rng.uniform(-1.0, 1.0, size=n) ** 3]
+    # few distinct values, so runs of equal values cross the value-band edges
+    # and many pairs have a zero value gap
+    fields += [rng.integers(-3, 4, size=n).astype(float), np.repeat([-1.0, 0.0, 2.0, 2.0], -(-n // 4))[:n]]
+    for vals in fields:
+        u = ScalarField(tri, vals)
+        assert sup_rayleigh(u, norm) == brute_force_sup_rayleigh(u, norm)
+
+
 class _MetricSpy:
     """A cKDTree that records the Minkowski p of every query made on it; the
     other tree of a dual-tree query is passed through unwrapped."""
@@ -504,6 +550,21 @@ def test_distance_kernels_log_pairs_examined(caplog):
     lines = [r.getMessage() for r in caplog.records]
     assert [m.split(":")[0] for m in lines] == [
         "distance_transform", "eikonal_bulk_fraction", "sup_rayleigh"]
-    n = grid.interior_count + len(grid.boundary_node_indices())
-    assert all("pairs=" in m for m in lines)
-    assert f"all_pairs={n * n}" in lines[2]
+    nodes, ring = grid.interior_count, len(grid.boundary_node_indices())
+    n = nodes + ring
+    # the transform scores its candidate pairs, and the near-minimizers are
+    # exactly the ring nodes within h of each node's distance
+    m = re.fullmatch(r"distance_transform: nodes=(\d+) ring=(\d+) pairs=(\d+) near=(\d+)", lines[0])
+    scored, near = int(m[3]), int(m[4])
+    ipts = grid.node_points(np.argwhere(grid.mask))
+    bpts = grid.node_points(grid.boundary_node_indices())
+    dist = fs.eval_norm(fs.polar(fs.euclidean()), ipts[:, None, :] - bpts[None, :, :])
+    assert (int(m[1]), int(m[2])) == (nodes, ring)
+    assert near == int((dist <= df.d[grid.mask][:, None] + grid.h).sum())
+    assert nodes < near <= scored < nodes * ring
+    # the eikonal check runs no pass of its own: it counts the flagged ridge nodes
+    m = re.fullmatch(r"eikonal_bulk_fraction: nodes=(\d+) ridge=(\d+)", lines[1])
+    assert int(m[1]) == nodes and int(m[2]) == int((df.spread > 3.0 * grid.h).sum()) > 0
+    m = re.fullmatch(r"sup_rayleigh: nodes=(\d+) ring=(\d+) pairs=(\d+) all_pairs=(\d+)", lines[2])
+    assert (int(m[1]), int(m[2]), int(m[4])) == (n, ring, n * n)
+    assert 0 < int(m[3]) < n * n

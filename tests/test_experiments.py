@@ -242,6 +242,51 @@ def test_check_duality_refuses_fewer_than_one_sample_with_exit_code_2(capsys, sa
     assert captured.out == "" and "Traceback" not in captured.err
 
 
+class _SamplesDrawn(Exception):
+    pass
+
+
+@pytest.fixture
+def no_sample_draws(monkeypatch):
+    """check_duality's sample generator raises if it is ever reached."""
+    def refuse(*args, **kwargs):
+        raise _SamplesDrawn
+
+    monkeypatch.setattr(fs.norms.np.random, "default_rng", refuse)
+
+
+def test_check_duality_refuses_more_than_max_samples_before_drawing(no_sample_draws):
+    limit = fs.norms.MAX_SAMPLES
+    with pytest.raises(ValueError, match=rf"sample_count .*MAX_SAMPLES = {limit}\], got {limit + 1}$"):
+        fs.norms.check_duality(fs.euclidean(), limit + 1)
+    with pytest.raises(_SamplesDrawn):  # the limit itself is allowed
+        fs.norms.check_duality(fs.euclidean(), limit)
+
+
+def test_cli_check_duality_refuses_more_than_max_samples_with_exit_code_2(capsys, no_sample_draws):
+    limit = fs.norms.MAX_SAMPLES
+    assert cli.main(["check-duality", "--norm", '{"family": "euclidean"}', "--samples", str(limit + 1)]) == 2
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert line.startswith("finsler-spectra: --samples: ") and f"MAX_SAMPLES = {limit}" in line
+    assert captured.out == "" and "Traceback" not in captured.err
+
+
+def test_config_refuses_more_than_max_samples_when_parsed(tmp_path, capsys, no_sample_draws):
+    limit = fs.norms.MAX_SAMPLES
+    raw = _valid_config(experiment="duality", samples=limit + 1)
+    with pytest.raises(ValueError, match=rf"^samples .*MAX_SAMPLES = {limit}\], got {limit + 1}$"):
+        ExperimentConfig.from_dict(raw)
+    assert ExperimentConfig.from_dict(dict(raw, samples=limit)).samples == limit
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"finsler-spectra: {cfg_path}: samples ") and f"MAX_SAMPLES = {limit}" in line
+    assert "Traceback" not in captured.err and not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("text, named", [
     (json.dumps({"experiment": "lambda1", "domain": 5, "norm": {"family": "euclidean"},
                  "h": 0.125}), "domain"),
@@ -740,7 +785,8 @@ def test_grid_context_values_are_read_only():
         assert kkt.tri is tri
         rung = ctx.kept["rungs", (eigensolve._grid_key(grid), aniso, 8.0, fs.SolverOptions())]
         kept = [tri.dof_nodes, tri.cell_ij, tri.grid.mask, rung[0],
-                pair.u.values, pairs.w, pairs.vecs, kkt.perm, kkt.rank, kkt.rows, kkt.cols, *kkt.band]
+                pair.u.values, pairs.w, pairs.vecs, kkt.perm, kkt.rank, kkt.rows, kkt.cols, *kkt.band,
+                *(part.mask for part in ctx.kept["components", eigensolve._grid_key(grid)])]
         for mat in (tri.G, tri.GxT, tri.GyT, pairs.K, kkt.map):
             kept += [mat.data, mat.indices, mat.indptr]
         for a in kept:
@@ -748,8 +794,9 @@ def test_grid_context_values_are_read_only():
                 a[...] = a.copy()
     # the ladders [2, 1.5] and [2, 4, 8] share their p=2 rung
     assert ctx.built == {"triangulations": 1, "p2_factorizations": 2, "newton_matrices": 1,
-                         "rungs": 4}
+                         "rungs": 4, "components": 1}
     assert ctx.reused["newton_matrices"] == 1 and ctx.reused["rungs"] == 1
+    assert ctx.reused["components"] == 1
     for r, f in zip(kept_solves, fresh):
         assert r.to_dict() == f.to_dict() and r.u.values.tobytes() == f.u.values.tobytes()
     # outside a context every call builds a fresh, writable value
@@ -781,7 +828,8 @@ def test_kept_rungs_give_the_lambda1_of_a_fresh_climb(monkeypatch, caplog, domai
     monkeypatch.setattr(eigensolve, "solve_lambda1", recorded)
     run(base_cfg(domain=domain, h=1.0 / 8, p_list=p_list))
     (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("grid context:")]
-    assert re.search(r"rungs built=(\d+) reused=(\d+) build_s=\S+$", line).groups() == tuple(map(str, rungs))
+    found = re.search(r"rungs built=(\d+) reused=(\d+) build_s=\S+; components ", line)
+    assert found.groups() == tuple(map(str, rungs))
     assert [args[2] for args, _ in seen] == p_list
     for args, kept in seen:
         fresh = solve_lambda1(*args)
@@ -879,7 +927,8 @@ def test_grid_context_logs_one_debug_line_per_run(tmp_path, monkeypatch, capsys)
     pattern = re.compile(r"grid context: triangulations built=(\d+) reused=(\d+) build_s=\S+; "
                          r"p2_factorizations built=(\d+) reused=(\d+) build_s=\S+; "
                          r"newton_matrices built=(\d+) reused=(\d+) build_s=\S+; "
-                         r"rungs built=(\d+) reused=(\d+) build_s=\S+$")
+                         r"rungs built=(\d+) reused=(\d+) build_s=\S+; "
+                         r"components built=(\d+) reused=(\d+) build_s=\S+$")
     reports = []
     for level in ("error", "debug"):
         monkeypatch.setenv("FS_LOG", level)
@@ -990,7 +1039,8 @@ def test_a_repeated_p_is_solved_again_from_the_grid_context(caplog):
     pattern = re.compile(r"grid context: triangulations built=(\d+) reused=(\d+) build_s=\S+; "
                          r"p2_factorizations built=(\d+) reused=(\d+) build_s=\S+; "
                          r"newton_matrices built=(\d+) reused=(\d+) build_s=\S+; "
-                         r"rungs built=(\d+) reused=(\d+) build_s=\S+$")
+                         r"rungs built=(\d+) reused=(\d+) build_s=\S+; "
+                         r"components built=(\d+) reused=(\d+) build_s=\S+$")
     results = {}
     for p_list in ([2.0, 3.0], [2.0, 3.0, 3.0]):
         caplog.clear()
