@@ -37,7 +37,7 @@ from . import distance as _distance
 from .fem import (CELL_ORDER, CORNERS, HATS, STENCIL, ScalarField, Triangulation, _mass_gradient_values,
                   energy_from_terms, energy_p, energy_terms, gradient_from_terms, mass_p, triangulate)
 from .geometry import _FOUR, DomainGrid, _check_keys, components
-from .norms import NormSpec, _number, euclidean, polar_eval, power_hessian
+from .norms import NormSpec, _number, euclidean, polar_eval, power_hessian_from_terms
 
 log = logging.getLogger(__name__)
 
@@ -251,17 +251,13 @@ def _evaluate(tri, norm, p, w):
 
 
 def _tangent_gradient(tri, p, v, r, terms):
-    """Gradient of the quotient at a unit-mass field, projected on the mass sphere's tangent."""
+    """(g, gm, res) at a unit-mass field v of quotient r: the quotient's gradient g projected on the
+    mass sphere's tangent, the mass gradient gm and the scaled stationarity residual |g|_2 |v|_2 / r."""
     gm = _mass_gradient_values(tri, v, p)
     g = gradient_from_terms(tri, terms, p)
     g -= r * gm
     g -= (_dot(g, gm) / _dot(gm, gm)) * gm
-    return g
-
-
-def _residual(v, g, r) -> float:
-    """Scaled stationarity residual |grad R|_2 |u|_2 / R."""
-    return math.sqrt(_dot(g, g) * _dot(v, v)) / r
+    return g, gm, math.sqrt(_dot(g, g) * _dot(v, v)) / r
 
 
 def _map_template():
@@ -325,13 +321,14 @@ class _NewtonMatrix:
         self.tri = tri
         log.debug("newton matrix dofs=%d band=%d", n, w)
 
-    def data(self, norm, p, gv, v, lam):
-        """Entries of L at mu = 0 and m, renumbered, at the unit-mass v with gradients gv."""
+    def data(self, norm, p, v, gv, terms, gm, lam):
+        """Entries of L at mu = 0 and m, renumbered, at the unit-mass v of quotient lam from what its stage
+        holds: the gradients gv, their energy terms and the mass gradient gm, none computed again."""
         a = np.abs(v)
         a = np.maximum(a, 1e-5 * a.max())  # the p < 2 mass Hessian is infinite where v = 0
         hm = lam * p * (p - 1.0) * self.tri.h ** 2 * a ** (p - 2.0)
-        entries = self.map @ np.concatenate([*power_hessian(norm, p, *gv), -hm])
-        return entries, _mass_gradient_values(self.tri, v, p)[self.perm]
+        entries = self.map @ np.concatenate([*power_hessian_from_terms(norm, p, *gv, terms), -hm])
+        return entries, gm[self.perm]
 
     def step(self, data, mu, g):
         """The d of [[L + mu I, m], [m^T, 0]] [d; nu] = [-g; 0], or None where L + mu I has a
@@ -378,8 +375,7 @@ def _newton_stage(tri, kkt, norm, p, values, tol, max_iter):
     floor, or after max_iter steps.
     """
     v, gv, r, terms = _evaluate(tri, norm, p, values)
-    g = _tangent_gradient(tri, p, v, r, terms)
-    res = _residual(v, g, r)
+    g, gm, res = _tangent_gradient(tri, p, v, r, terms)
     steps = factorizations = trials = parabola = 0
     mu, data, reason = 0.0, None, "tol"
     while res > tol:
@@ -387,7 +383,7 @@ def _newton_stage(tri, kkt, norm, p, values, tol, max_iter):
             reason = "maxiter"
             break
         if data is None:
-            data = kkt.data(norm, p, gv, v, r)
+            data = kkt.data(norm, p, v, gv, terms, gm, r)
             mu_min = 1e-12 * max(float(np.abs(x).max()) for x in data)
         d = kkt.step(data, mu, g)
         factorizations += 1
@@ -422,8 +418,7 @@ def _newton_stage(tri, kkt, norm, p, values, tol, max_iter):
                     parabola += 1
         if accepted:
             v, gv, r, terms = trial
-            g = _tangent_gradient(tri, p, v, r, terms)
-            res = _residual(v, g, r)
+            g, gm, res = _tangent_gradient(tri, p, v, r, terms)
             steps += 1
             data = None
             mu = max(0.1 * mu, mu_min) if mu else 0.0
@@ -466,13 +461,14 @@ def solve_lambda1(
     zero off the winning one.  A component climbs the doubling ladder from its
     p=2 linear eigenfunction, one Newton stage per rung, or takes one stage at
     p from ``initial``, a frame array (nx, ny) shaped for p, where that is
-    nonzero.  Inside experiments.run() a cold climb keeps each rung's stage
-    for (component mask, norm, rung, opts): rung 2 starts from the p=2
-    eigenfunction, any other from the power of two before it in every ladder
-    that holds it, so a kept stage is bit for bit a fresh one.  ``iterations``
-    counts the steps of every rung that led to u, kept ones included.  A stage
-    that reaches ``opts.max_iter`` steps raises ConvergenceError, a kept one
-    on every request.  ``plateau`` is no longer a setting and must stay None.
+    nonzero (no package solve passes it; bench/tracer.py binds it).  Inside
+    experiments.run() a cold climb keeps each rung's stage for (component
+    mask, norm, rung, opts): rung 2 starts from the p=2 eigenfunction, any
+    other from the power of two before it in every ladder that holds it, so a
+    kept stage is bit for bit a fresh one.  ``iterations`` counts the steps of
+    every rung that led to u, kept ones included.  A stage that reaches
+    ``opts.max_iter`` steps raises ConvergenceError, a kept one on every
+    request.  ``plateau`` is no longer a setting and must stay None.
     """
     if not 1.0 < p < np.inf:
         raise ValueError("p must lie in (1, inf)")
@@ -513,7 +509,7 @@ def solve_lambda1(
     # never increases the energy for these norms and pins the sign convention
     v, _, lam, terms = _evaluate(tri, norm, p, np.abs(arr[grid.mask]))
     return EigenResult(lam=float(lam), u=ScalarField(tri, v), p=p, iterations=total,
-                       residual=_residual(v, _tangent_gradient(tri, p, v, lam, terms), lam))
+                       residual=_tangent_gradient(tri, p, v, lam, terms)[2])
 
 
 def _stiffness(tri: Triangulation, norm: NormSpec) -> sp.csc_matrix:
@@ -605,20 +601,20 @@ def _linear_p2(grid: DomainGrid, norm: NormSpec, k: int) -> EigenResult:
 
 
 def _part_solver(grid: DomainGrid, norm: NormSpec, p: float, opts: SolverOptions):
-    """solve(mask, warm=None), lambda_1 on a part mask of grid solved once, and its counts.
+    """solve(mask), lambda_1 on a part mask of grid solved once, and its counts.
 
-    Results are kept by the mask alone for one bipartition search: a repeated
-    mask returns the first result, whatever warm start (a frame array (nx, ny)
-    of start values) either request gave.  counts["requests"] counts calls and
-    counts["ran"] the solves that ran (a raising one is not kept)."""
+    A part climbs the cold ladder of solve_lambda1, so its result is a function of its mask
+    alone, its rungs kept across the p of an experiments.run(); a repeated mask returns the
+    first result of the search.  counts["requests"] counts calls and counts["ran"] the solves
+    that ran (a raising one is not kept)."""
     kept, counts = {}, Counter()
 
-    def solve(mask: np.ndarray, warm: Optional[np.ndarray] = None) -> EigenResult:
+    def solve(mask: np.ndarray) -> EigenResult:
         counts["requests"] += 1
         key = mask.tobytes()
         if key not in kept:
             counts["ran"] += 1
-            kept[key] = solve_lambda1(grid.subgrid(mask), norm, p, opts, initial=warm)
+            kept[key] = solve_lambda1(grid.subgrid(mask), norm, p, opts)
         return kept[key]
 
     return solve, counts
@@ -631,10 +627,10 @@ def _greedy_refine(grid: DomainGrid, solve, p1: np.ndarray, p2: np.ndarray):
     by its frontier and solves the shrunk side first: the pair's max is at
     least that value, so a shrunk side that does not beat the best value
     rejects the sweep alone.  A solve that raises ConvergenceError ends the
-    search at its best pair.  solve (see _part_solver) returns a repeated
-    mask's first result, whatever its warm start.  Returns the best
-    BipartitionResult and (start, sweeps, accepted): the given pair's value,
-    the sweeps that requested a part solve, and those that moved the interface.
+    search at its best pair.  solve (see _part_solver) takes a moved part up
+    the cold ladder like any other.  Returns the best BipartitionResult and
+    (start, sweeps, accepted): the given pair's value, the sweeps that
+    requested a part solve, and those that moved the interface.
     """
     best = BipartitionResult(p1, p2, solve(p1), solve(p2))
     start, sweeps, accepted = best.lambda2, 0, 0
@@ -646,13 +642,12 @@ def _greedy_refine(grid: DomainGrid, solve, p1: np.ndarray, p2: np.ndarray):
         new_hi, new_lo = hi | frontier, lo & ~frontier
         if not new_lo.any():
             break
-        warm = best.result1.u.as_grid_array() + best.result2.u.as_grid_array()
         sweeps += 1
         try:
-            c_lo = solve(new_lo, warm)
+            c_lo = solve(new_lo)
             if not c_lo.lam < best.lambda2 * (1.0 - 1e-10):
                 break
-            c_hi = solve(new_hi, warm)
+            c_hi = solve(new_hi)
         except ConvergenceError:
             break
         cand = (BipartitionResult(new_hi, new_lo, c_hi, c_lo) if hi_is_first

@@ -200,7 +200,12 @@ def power_hessian(norm: NormSpec, p: float, gx: np.ndarray, gy: np.ndarray):
     |x_i|/F is floored too.  The floors keep the weights finite where F or a
     component vanishes.
     """
-    f2, hx, hy = squared_with_halfgrad(norm, gx, gy)
+    return power_hessian_from_terms(norm, p, gx, gy, squared_with_halfgrad(norm, gx, gy))
+
+
+def power_hessian_from_terms(norm: NormSpec, p: float, gx: np.ndarray, gy: np.ndarray, terms):
+    """power_hessian from the terms (F^2, F dF) that squared_with_halfgrad(norm, gx, gy) returns."""
+    f2, hx, hy = terms
     s2 = f2.max(initial=0.0)
     if s2 == 0.0:
         return f2, f2, f2

@@ -318,14 +318,14 @@ def test_lambda1_initial_is_a_frame_array():
     assert warm.lam == pytest.approx(cold.lam, rel=1e-10) and warm.iterations < cold.iterations
 
 
-def test_warm_part_solve_triangulates_its_mask_once(monkeypatch):
+def test_part_solve_in_a_grid_context_triangulates_its_mask_once(monkeypatch):
+    # the part's ladder and its p=2 oracle share the one kept triangulation
     from finsler_spectra import eigensolve
 
     grid = fs.rasterize(unit_square_spec(), 1.0 / 12)
     norm = fs.euclidean()
     half = grid.mask.copy()
     half[grid.mask.shape[0] // 2:] = False
-    warm = fs.solve_lambda1(grid, norm, 3.0).u.as_grid_array()
     keys, triangulate = [], eigensolve.triangulate
 
     def counted_triangulate(g):
@@ -334,7 +334,8 @@ def test_warm_part_solve_triangulates_its_mask_once(monkeypatch):
 
     monkeypatch.setattr(eigensolve, "triangulate", counted_triangulate)
     solve, _ = eigensolve._part_solver(grid, norm, 3.0, SolverOptions())
-    assert solve(half, warm).iterations > 0
+    with eigensolve._GridContext():
+        assert solve(half).iterations > 0
     assert keys == [eigensolve._grid_key(grid.subgrid(half))]
 
 
@@ -548,9 +549,9 @@ def test_lambda2_search_logs_one_debug_line(monkeypatch, caplog):
     def counted_factory(*args):
         solve, counts = factory(*args)
 
-        def counted(mask, warm=None):
+        def counted(mask):
             requests.append(mask)
-            return solve(mask, warm)
+            return solve(mask)
 
         return counted, counts
 
@@ -590,7 +591,7 @@ class _ScriptedParts:
     def __init__(self, lams):
         self.lams, self.masks = list(lams), []
 
-    def solve(self, mask, warm=None):
+    def solve(self, mask):
         self.masks.append(mask)
         if len(self.masks) > len(self.lams):
             raise fs.ConvergenceError("lambda_1 solve did not converge")
@@ -665,9 +666,8 @@ def _two_solve_refine(grid, solve, p1, p2):
         if not (lo & ~frontier).any():
             break
         cand = (hi | frontier, lo & ~frontier) if grow_first else (lo & ~frontier, hi | frontier)
-        warm = r1.u.as_grid_array() + r2.u.as_grid_array()
         try:
-            c1, c2 = solve(cand[0], warm), solve(cand[1], warm)
+            c1, c2 = solve(cand[0]), solve(cand[1])
         except fs.ConvergenceError:
             break
         if not max(c1.lam, c2.lam) < val * (1.0 - 1e-10):
@@ -693,6 +693,23 @@ def test_interface_search_matches_the_two_solve_search_with_fewer_requests(spec,
         ref_val, ref_q1, ref_q2 = _two_solve_refine(grid, ref, p1, p2)
         assert val == ref_val and np.array_equal(q1, ref_q1) and np.array_equal(q2, ref_q2)
         assert ours_counts["requests"] < ref_counts["requests"]
+
+
+def test_a_part_result_is_a_function_of_its_mask():
+    # a moved part climbs the cold ladder like any other part: on this L-shape the packing
+    # split's interface moves twice, and the best pair's results are fresh solves on its
+    # masks, bit for bit
+    from finsler_spectra import eigensolve
+
+    grid = fs.rasterize(lshape_spec(), 1.0 / 8)
+    norm = fs.weighted_quadratic(4.0, 1.0)
+    solve, _ = eigensolve._part_solver(grid, norm, 3.0, SolverOptions())
+    best, (start, _, accepted) = eigensolve._greedy_refine(
+        grid, solve, *eigensolve._split_candidates(grid, norm)["packing"])
+    assert accepted == 2 and best.lambda2 < start
+    for mask, result in ((best.part1, best.result1), (best.part2, best.result2)):
+        fresh = fs.solve_lambda1(grid.subgrid(mask), norm, 3.0)
+        assert result.to_dict() == fresh.to_dict() and same_bits(result.u.values, fresh.u.values)
 
 
 def _relative_gap(a, b):
@@ -732,8 +749,8 @@ def test_newton_step_matches_dense_bordered_solve(family, p):
         fields.append((u, 1e-10))
     for values, rtol in fields:
         v, gv, r, terms = eigensolve._evaluate(tri, norm, p, values)
-        g = eigensolve._tangent_gradient(tri, p, v, r, terms)
-        d = kkt.step(kkt.data(norm, p, gv, v, r), 0.0, g)
+        g, gm, _ = eigensolve._tangent_gradient(tri, p, v, r, terms)
+        d = kkt.step(kkt.data(norm, p, v, gv, terms, gm, r), 0.0, g)
         assert _relative_gap(d, _dense_newton_step(tri, norm, p, v, gv, r, g)) <= rtol
 
 
@@ -746,14 +763,39 @@ def test_newton_step_is_none_on_a_zero_pivot():
     kkt = eigensolve._NewtonMatrix(tri)
     norm = fs.euclidean()
     v, gv, r, terms = eigensolve._evaluate(tri, norm, 3.0, fs.solve_linear_p2(grid, norm, 1).u.values)
-    g = eigensolve._tangent_gradient(tri, 3.0, v, r, terms)
-    entries, m = kkt.data(norm, 3.0, gv, v, r)
+    g, gm, _ = eigensolve._tangent_gradient(tri, 3.0, v, r, terms)
+    entries, m = kkt.data(norm, 3.0, v, gv, terms, gm, r)
     zero = (0.0 * entries, m)   # L = 0: dgbtrf reports a zero pivot at mu = 0
     assert kkt.step(zero, 0.0, g) is None
     # [[mu I, m], [m^T, 0]] [d; nu] = [-g; 0] has d = -(g projected off m) / mu
     m = _mass_gradient_values(tri, v, 3.0)
     want = -(g - (m @ g / (m @ m)) * m) / 2.0
     assert _relative_gap(kkt.step(zero, 2.0, g), want) <= 1e-12
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0, 32.0])
+@pytest.mark.parametrize("family", sorted(ALL_NORMS))
+def test_newton_matrix_from_the_stage_terms_equals_power_hessian(lshape_14, family, p):
+    # data() takes the kernel terms and the mass gradient that its stage already holds; its
+    # entries and border are those assembled from power_hessian and a fresh mass gradient
+    from finsler_spectra import eigensolve
+    from finsler_spectra.fem import _mass_gradient_values
+    from finsler_spectra.norms import power_hessian
+
+    _, tri, _ = lshape_14
+    kkt = eigensolve._NewtonMatrix(tri)
+    norm = ALL_NORMS[family]
+    rng = np.random.default_rng(int(p * 10))
+    values = rng.standard_normal(tri.ndof)
+    values[rng.random(tri.ndof) < 0.15] = 0.0
+    for start in (values, fs.solve_linear_p2(tri.grid, fs.euclidean(), 1).u.values):
+        v, gv, r, terms = eigensolve._evaluate(tri, norm, p, start)
+        g, gm, _ = eigensolve._tangent_gradient(tri, p, v, r, terms)
+        entries, m = kkt.data(norm, p, v, gv, terms, gm, r)
+        a = np.maximum(np.abs(v), 1e-5 * np.abs(v).max())
+        hm = r * p * (p - 1.0) * tri.h ** 2 * a ** (p - 2.0)
+        assert same_bits(entries, kkt.map @ np.concatenate([*power_hessian(norm, p, *gv), -hm]))
+        assert same_bits(m, _mass_gradient_values(tri, v, p)[kkt.perm])
 
 
 def test_descent_shrinks_zero_and_overflowing_trials(monkeypatch):
@@ -935,8 +977,8 @@ def test_newton_step_is_none_when_the_border_vanishes(monkeypatch):
     kkt = eigensolve._NewtonMatrix(tri)
     norm = fs.euclidean()
     v, gv, r, terms = eigensolve._evaluate(tri, norm, 3.0, fs.solve_linear_p2(grid, norm, 1).u.values)
-    g = eigensolve._tangent_gradient(tri, 3.0, v, r, terms)
-    entries, m = kkt.data(norm, 3.0, gv, v, r)
+    g, gm, _ = eigensolve._tangent_gradient(tri, 3.0, v, r, terms)
+    entries, m = kkt.data(norm, 3.0, v, gv, terms, gm, r)
     assert kkt.step((entries, m), 0.0, g) is not None
     assert kkt.step((entries, 0.0 * m), 0.0, g) is None
     mus, step = [], kkt.step
@@ -1048,8 +1090,10 @@ def test_lean_step_is_bit_identical_to_reference(lshape_14, family, p, eps, scal
             assert same_bits(gradient_from_terms(tri, terms, p), reference_gradient_from_terms(tri, ref, p))
         r = energy_from_terms(tri, terms, p)
         assert math.isfinite(r) and r > 0.0
-        g = eigensolve._tangent_gradient(tri, p, u, r, terms)
+        g, gm, res = eigensolve._tangent_gradient(tri, p, u, r, terms)
         assert same_bits(g, reference_tangent_gradient(tri, p, u, r, ref))
+        assert same_bits(gm, reference_mass_gradient(tri, u, p))
+        assert same_bits(res, math.sqrt(float(np.einsum("i,i", g, g)) * float(np.einsum("i,i", u, u))) / r)
         for x in (u, g):
             assert same_bits(math.sqrt(x @ x), np.linalg.norm(x))
     for t in (1e-300, 1e-16, 0.37, 5.0, 1e12, 3e20):

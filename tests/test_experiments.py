@@ -853,6 +853,50 @@ def test_a_kept_rung_logs_one_debug_line_like_the_stage_that_ran(caplog):
     assert set(kept_lines) == set(ran_lines[:4])
 
 
+def test_each_sweep_mask_climbs_each_rung_once_in_a_p_limit_run(monkeypatch):
+    # interface-sweep parts take the cold ladder, whose rungs the run keeps: each (component
+    # mask, rung) runs one Newton stage, and a sweep mask asked for at p ran every rung up to
+    # p, each from the field the rung before it returned
+    from finsler_spectra import eigensolve
+
+    stages, sweeps, at = {}, [], {}
+    stage, factory, refine = eigensolve._newton_stage, eigensolve._part_solver, eigensolve._greedy_refine
+
+    def recorded_stage(tri, kkt, norm, p, values, *args):
+        out = stage(tri, kkt, norm, p, values, *args)
+        key = (eigensolve._grid_key(tri.grid), p)
+        assert key not in stages
+        stages[key] = (values, out[0])
+        return out
+
+    def recorded_factory(grid, norm, p, opts):
+        at["p"] = p
+        return factory(grid, norm, p, opts)
+
+    def recorded_refine(grid, solve, p1, p2):
+        def sweep_solve(mask):
+            if mask is not p1 and mask is not p2:
+                sweeps.append((grid.subgrid(mask), at["p"]))
+            return solve(mask)
+
+        return refine(grid, sweep_solve, p1, p2)
+
+    monkeypatch.setattr(eigensolve, "_newton_stage", recorded_stage)
+    monkeypatch.setattr(eigensolve, "_part_solver", recorded_factory)
+    monkeypatch.setattr(eigensolve, "_greedy_refine", recorded_refine)
+    aniso = {"family": "weighted_quadratic", "a1": 4.0, "a2": 1.0}
+    cfg = base_cfg(experiment="p_limit", domain=lshape_domain(), norm=aniso, h=1.0 / 8,
+                   p_list=[2.0, 4.0, 8.0, 16.0, 32.0])
+    run(cfg)
+    assert {p for _, p in sweeps} == set(cfg.p_list)
+    for sub, p in sweeps:
+        parts = fs.components(sub)
+        for part in parts if len(parts) > 1 else [sub]:
+            ladder = eigensolve._exponent_ladder(p)
+            ran = [stages[eigensolve._grid_key(part), q] for q in ladder]
+            assert all(start is out for (start, _), (_, out) in zip(ran[1:], ran))
+
+
 def test_a_warm_solve_keeps_no_rung():
     from finsler_spectra import eigensolve
 
