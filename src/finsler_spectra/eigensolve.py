@@ -21,6 +21,7 @@ import logging
 import math
 import time
 from collections import Counter
+from contextlib import nullcontext
 from contextvars import ContextVar
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Tuple
@@ -36,7 +37,7 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 from . import distance as _distance
 from .fem import (CELL_ORDER, CORNERS, HATS, STENCIL, ScalarField, Triangulation, _mass_gradient_values,
                   energy_from_terms, energy_p, energy_terms, gradient_from_terms, mass_p, triangulate)
-from .geometry import _FOUR, DomainGrid, _check_keys, components
+from .geometry import _FOUR, _MESH, DomainGrid, _check_keys, components
 from .norms import NormSpec, _number, euclidean, polar_eval, power_hessian_from_terms
 
 log = logging.getLogger(__name__)
@@ -58,17 +59,18 @@ _KINDS = ("triangulations", "p2_factorizations", "newton_matrices", "rungs", "co
 
 
 class _GridContext:
-    """What one experiments.run() computes once per grid and keeps for the run.
+    """What one experiments.run(), or one direct solve_lambda1 or solve_lambda2
+    call, computes once per grid and keeps until it returns.
 
     It holds each grid's components, and the triangulations and the Newton
     matrices of lambda_1's components, keyed by (h, origin, mask shape, mask
     bytes), the p=2 eigenpairs (one eigsh call serves k = 1 and 2), keyed by
     that and the norm, and the cold ladder rungs of solve_lambda1; each under
     (kind, key) of one store, with read-only arrays.  It is active only inside
-    the ``with`` block, and only experiments.run() opens one, so a direct
-    library call computes everything afresh and nothing outlives a run.  _kept
-    is the one path that reads the store.  ``seconds`` sums each kind's build
-    time, a build that triangulates its grid on the way included.
+    the ``with`` block: a solve joins the open one (see _joined), so nothing
+    outlives the run or the call that opened it.  _kept is the one path that
+    reads the store.  ``seconds`` sums each kind's build time, a build that
+    triangulates its grid on the way included.
     """
 
     def __init__(self):
@@ -91,6 +93,11 @@ _CONTEXT: ContextVar[Optional[_GridContext]] = ContextVar("finsler_spectra_grid_
                                                           default=None)
 
 
+def _joined():
+    """The open grid context, joined as is, or a new one for the length of a direct solve."""
+    return nullcontext() if _CONTEXT.get() is not None else _GridContext()
+
+
 def _grid_key(grid: DomainGrid):
     return grid.h, grid.origin, grid.mask.shape, grid.mask.tobytes()
 
@@ -100,7 +107,7 @@ def _sparse_arrays(*mats):
 
 
 def _kept(kind: str, key, build, arrays=None):
-    """build(), or inside experiments.run() the value kept under (kind, key): a hit counts a
+    """build(), or inside a grid context the value kept under (kind, key): a hit counts a
     reuse, a miss keeps build() with arrays(value) read-only, or returns None if build is None."""
     ctx = _CONTEXT.get()
     if ctx is None:
@@ -119,12 +126,12 @@ def _kept(kind: str, key, build, arrays=None):
 
 
 def _components(grid: DomainGrid) -> List[DomainGrid]:
-    """components(grid), or inside experiments.run() the ones kept for grid's mask."""
+    """components(grid), or inside a grid context the ones kept for grid's mask."""
     return _kept("components", _grid_key(grid), lambda: components(grid), lambda parts: [c.mask for c in parts])
 
 
 def _triangulation(grid: DomainGrid) -> Triangulation:
-    """triangulate(grid), or inside experiments.run() the one kept for grid's mask."""
+    """triangulate(grid), or inside a grid context the one kept for grid's mask."""
     return _kept("triangulations", _grid_key(grid), lambda: triangulate(grid),
                  lambda tri: [tri.dof_nodes, tri.cell_ij, tri.cell_nodes, tri.node_cells, tri.grid.mask,
                               *_sparse_arrays(tri.G, tri.GxT, tri.GyT)])
@@ -201,15 +208,16 @@ def rayleigh_quotient(u: ScalarField, norm: NormSpec, p: float) -> float:
 
 
 def nodal_domains(u: ScalarField) -> Tuple[int, np.ndarray]:
-    """Count 4-connected components of {u > t} and {u < -t}, t = 1e-6 max|u|.
+    """Count the mesh-connected components (see geometry._MESH) of {u > t} and {u < -t},
+    t = 1e-6 max|u|: a P1 field's sign set is connected across a triangle's shared edge.
 
     Returns (count, labels) with positive-domain labels first, 0 elsewhere.
     """
     arr = u.as_grid_array()
     t = 1e-6 * np.abs(arr).max(initial=0.0)
     labels = np.zeros(arr.shape, dtype=np.int32)
-    pos, npos = ndimage.label(arr > t, structure=_FOUR)
-    neg, nneg = ndimage.label(arr < -t, structure=_FOUR)
+    pos, npos = ndimage.label(arr > t, structure=_MESH)
+    neg, nneg = ndimage.label(arr < -t, structure=_MESH)
     labels[pos > 0] = pos[pos > 0]
     labels[neg > 0] = neg[neg > 0] + npos
     return int(npos + nneg), labels
@@ -356,7 +364,7 @@ class _NewtonMatrix:
 
 
 def _newton_matrix(tri: Triangulation) -> _NewtonMatrix:
-    """_NewtonMatrix(tri), or inside experiments.run() the one kept for tri's mask."""
+    """_NewtonMatrix(tri), or inside a grid context the one kept for tri's mask."""
     return _kept("newton_matrices", _grid_key(tri.grid), lambda: _NewtonMatrix(tri),
                  lambda kkt: [kkt.perm, kkt.rank, kkt.rows, kkt.cols, *kkt.band,
                               *_sparse_arrays(kkt.map)])
@@ -451,7 +459,7 @@ def solve_lambda1(
     norm: NormSpec,
     p: float,
     opts: SolverOptions = SolverOptions(),
-    initial: Optional[np.ndarray] = None,
+    initial: None = None,
     plateau: None = None,
 ) -> EigenResult:
     """Minimize the Rayleigh quotient; returns the nonnegative eigenfunction.
@@ -459,57 +467,51 @@ def solve_lambda1(
     lambda_1 is the smallest value over the connected components, each solved
     on its own (at p < 2 the mass Hessian is infinite where u vanishes); u is
     zero off the winning one.  A component climbs the doubling ladder from its
-    p=2 linear eigenfunction, one Newton stage per rung, or takes one stage at
-    p from ``initial``, a frame array (nx, ny) shaped for p, where that is
-    nonzero (no package solve passes it; bench/tracer.py binds it).  Inside
-    experiments.run() a cold climb keeps each rung's stage for (component
-    mask, norm, rung, opts): rung 2 starts from the p=2 eigenfunction, any
-    other from the power of two before it in every ladder that holds it, so a
-    kept stage is bit for bit a fresh one.  ``iterations`` counts the steps of
-    every rung that led to u, kept ones included.  A stage that reaches
-    ``opts.max_iter`` steps raises ConvergenceError, a kept one on every
-    request.  ``plateau`` is no longer a setting and must stay None.
+    p=2 linear eigenfunction, one Newton stage per rung.  The solve joins the
+    open grid context, or opens one for the call, which keeps each rung's
+    stage for (component mask, norm, rung, opts): rung 2 starts from the p=2
+    eigenfunction, any other from the power of two before it in every ladder
+    that holds it, so a kept stage is bit for bit a fresh one, and a repeated
+    mask runs only the final field evaluation.  ``iterations`` counts the
+    steps of every rung that led to u, kept ones included.  A stage that
+    reaches ``opts.max_iter`` steps raises ConvergenceError, a kept one on
+    every request.  ``initial`` and ``plateau`` are no longer settings and
+    must stay None (bench/tracer.py binds both).
     """
     if not 1.0 < p < np.inf:
         raise ValueError("p must lie in (1, inf)")
-    if plateau is not None:
-        raise ValueError(f"solve_lambda1: plateau is no longer a setting, got plateau={plateau!r}")
-    if initial is not None and np.shape(initial) != grid.mask.shape:
-        raise ValueError(f"initial must have the grid's shape {grid.mask.shape}, not {np.shape(initial)}")
-    tri = _triangulation(grid)
-    best, total = None, 0
-    parts = _components(grid)
-    for part in parts if len(parts) > 1 else [grid]:
-        sub = tri if part is grid else _triangulation(part)
-        kkt = _newton_matrix(sub)
-        v = None if initial is None else initial[part.mask]
-        warm = v is not None and np.abs(v).max(initial=0.0) > 0.0
-        if warm:
-            ladder = [p]
-        else:
-            v, ladder = _linear_p2(part, _p2_stand_in(norm), 1).u.values, _exponent_ladder(p)
-        for q in ladder:
-            key = (_grid_key(part), norm, q, opts)
-            kept = None if warm else _kept("rungs", key, None)
-            stage = functools.partial(_newton_stage, sub, kkt, norm, q, v, opts.tol, opts.max_iter)
-            v, lam, steps, res, reason = kept or (
-                stage() if warm else _kept("rungs", key, stage, lambda rung: rung[:1]))
-            if kept:
-                log.debug("newton stage kept p=%g dofs=%d steps=%d stop=%s residual=%.3e",
-                          q, sub.ndof, steps, reason, res)
-            total += steps
-            if reason == "maxiter":
-                raise ConvergenceError(f"lambda_1 solve did not converge: p={q}, dofs={sub.ndof}, "
-                                       f"residual={res:.3e} after {total} iterations")
-        if best is None or lam < best[0]:
-            best = (lam, part.mask, v)
-    arr = np.zeros(grid.mask.shape)
-    arr[best[1]] = best[2]
-    # first eigenfunctions have constant sign: the nodewise absolute value
-    # never increases the energy for these norms and pins the sign convention
-    v, _, lam, terms = _evaluate(tri, norm, p, np.abs(arr[grid.mask]))
-    return EigenResult(lam=float(lam), u=ScalarField(tri, v), p=p, iterations=total,
-                       residual=_tangent_gradient(tri, p, v, lam, terms)[2])
+    for name, value in (("initial", initial), ("plateau", plateau)):
+        if value is not None:
+            raise ValueError(f"solve_lambda1: {name} is no longer a setting, got a {type(value).__name__}")
+    with _joined():
+        tri = _triangulation(grid)
+        best, total = None, 0
+        parts = _components(grid)
+        for part in parts if len(parts) > 1 else [grid]:
+            sub = tri if part is grid else _triangulation(part)
+            kkt = _newton_matrix(sub)
+            v = _linear_p2(part, _p2_stand_in(norm), 1).u.values
+            for q in _exponent_ladder(p):
+                key = (_grid_key(part), norm, q, opts)
+                kept = _kept("rungs", key, None)
+                stage = functools.partial(_newton_stage, sub, kkt, norm, q, v, opts.tol, opts.max_iter)
+                v, lam, steps, res, reason = kept or _kept("rungs", key, stage, lambda rung: rung[:1])
+                if kept:
+                    log.debug("newton stage kept p=%g dofs=%d steps=%d stop=%s residual=%.3e",
+                              q, sub.ndof, steps, reason, res)
+                total += steps
+                if reason == "maxiter":
+                    raise ConvergenceError(f"lambda_1 solve did not converge: p={q}, dofs={sub.ndof}, "
+                                           f"residual={res:.3e} after {total} iterations")
+            if best is None or lam < best[0]:
+                best = (lam, part.mask, v)
+        arr = np.zeros(grid.mask.shape)
+        arr[best[1]] = best[2]
+        # first eigenfunctions have constant sign: the nodewise absolute value
+        # never increases the energy for these norms and pins the sign convention
+        v, _, lam, terms = _evaluate(tri, norm, p, np.abs(arr[grid.mask]))
+        return EigenResult(lam=float(lam), u=ScalarField(tri, v), p=p, iterations=total,
+                           residual=_tangent_gradient(tri, p, v, lam, terms)[2])
 
 
 def _stiffness(tri: Triangulation, norm: NormSpec) -> sp.csc_matrix:
@@ -580,8 +582,8 @@ def solve_linear_p2(grid: DomainGrid, norm: NormSpec, k: int) -> EigenResult:
     grids too small for ARPACK, from a dense solve.  The answer is the exact
     discrete minimizer the nonlinear solver targets.  Two pairs are computed
     even for k = 1: asked for one pair of a degenerate lambda_1 (two equal
-    components), ARPACK stops near a 1e-9 residual.  Inside experiments.run()
-    both pairs are kept and reused for the run.  ``iterations`` counts the
+    components), ARPACK stops near a 1e-9 residual.  Inside a grid context
+    both pairs are kept and reused while it is open.  ``iterations`` counts the
     LU solves; ``residual`` is the relative residual of the returned pair.
     """
     if norm.q != 2.0:
@@ -595,29 +597,9 @@ def solve_linear_p2(grid: DomainGrid, norm: NormSpec, k: int) -> EigenResult:
 
 
 def _linear_p2(grid: DomainGrid, norm: NormSpec, k: int) -> EigenResult:
-    """solve_linear_p2, or inside experiments.run() the pairs already computed for this grid."""
+    """solve_linear_p2, or inside a grid context the pairs already computed for this grid."""
     pairs = _kept("p2_factorizations", (_grid_key(grid), norm), None)
     return solve_linear_p2(grid, norm, k) if pairs is None else pairs.result(k)
-
-
-def _part_solver(grid: DomainGrid, norm: NormSpec, p: float, opts: SolverOptions):
-    """solve(mask), lambda_1 on a part mask of grid solved once, and its counts.
-
-    A part climbs the cold ladder of solve_lambda1, so its result is a function of its mask
-    alone, its rungs kept across the p of an experiments.run(); a repeated mask returns the
-    first result of the search.  counts["requests"] counts calls and counts["ran"] the solves
-    that ran (a raising one is not kept)."""
-    kept, counts = {}, Counter()
-
-    def solve(mask: np.ndarray) -> EigenResult:
-        counts["requests"] += 1
-        key = mask.tobytes()
-        if key not in kept:
-            counts["ran"] += 1
-            kept[key] = solve_lambda1(grid.subgrid(mask), norm, p, opts)
-        return kept[key]
-
-    return solve, counts
 
 
 def _greedy_refine(grid: DomainGrid, solve, p1: np.ndarray, p2: np.ndarray):
@@ -627,8 +609,8 @@ def _greedy_refine(grid: DomainGrid, solve, p1: np.ndarray, p2: np.ndarray):
     by its frontier and solves the shrunk side first: the pair's max is at
     least that value, so a shrunk side that does not beat the best value
     rejects the sweep alone.  A solve that raises ConvergenceError ends the
-    search at its best pair.  solve (see _part_solver) takes a moved part up
-    the cold ladder like any other.  Returns the best BipartitionResult and
+    search at its best pair.  solve(mask) is lambda_1 on a part mask of grid
+    (see _lambda2_connected).  Returns the best BipartitionResult and
     (start, sweeps, accepted): the given pair's value, the sweeps that
     requested a part solve, and those that moved the interface.
     """
@@ -693,16 +675,17 @@ def _split_candidates(grid: DomainGrid, norm: NormSpec) -> Dict[str, Tuple[np.nd
 def _lambda2_connected(grid, norm, p, opts):
     """The best refined nodal or packing split of a connected grid, a
     BipartitionResult of node-disjoint parts, or None when every candidate
-    was dropped.  The search logs one DEBUG line: p, dofs, each candidate's
-    start value, sweeps run and accepted and refined value (or why it was
-    dropped), the part-solve requests, repeated-mask hits and solves that
-    ran, and the winner.
+    was dropped.  Each part is one solve_lambda1 call in the caller's grid
+    context, so a repeated part mask takes its triangulation, Newton matrix,
+    p=2 pair and ladder rungs from there.  The search logs one DEBUG line: p,
+    dofs, each candidate's start value, sweeps run and accepted and refined
+    value (or why it was dropped), and the winner.
     """
-    solve, counts = _part_solver(grid, norm, p, opts)
     best, winner, notes = None, "none", []
     for name, (p1, p2) in _split_candidates(grid, norm).items():
         try:
-            cand, (start, sweeps, accepted) = _greedy_refine(grid, solve, p1, p2)
+            cand, (start, sweeps, accepted) = _greedy_refine(
+                grid, lambda mask: solve_lambda1(grid.subgrid(mask), norm, p, opts), p1, p2)
         except ConvergenceError as exc:
             log.warning("bipartition candidate dropped: %s: %s", type(exc).__name__, exc)
             notes.append(f"{name} dropped {type(exc).__name__}: {exc}")
@@ -710,9 +693,8 @@ def _lambda2_connected(grid, norm, p, opts):
         notes.append(f"{name} start={start!r} sweeps={sweeps} accepted={accepted} value={cand.lambda2!r}")
         if best is None or cand.lambda2 < best.lambda2:
             best, winner = cand, name
-    log.debug("lambda2 search p=%g dofs=%d; %s; part solves requests=%d hits=%d ran=%d; winner=%s",
-              p, grid.interior_count, "; ".join(notes) or "no candidate", counts["requests"],
-              counts["requests"] - counts["ran"], counts["ran"], winner)
+    log.debug("lambda2 search p=%g dofs=%d; %s; winner=%s",
+              p, grid.interior_count, "; ".join(notes) or "no candidate", winner)
     return best
 
 
@@ -730,7 +712,8 @@ def solve_lambda2(
     beat the best value; a connected set is its own one component.  A
     candidate whose solve raises ConvergenceError is dropped with a warning,
     and a component whose splits are all dropped gives none; only when no
-    candidate is left does ConvergenceError reach the caller.
+    candidate is left does ConvergenceError reach the caller.  The search
+    joins the open grid context, or opens one for the call.
 
     The result is not a certified upper bound of the discrete lambda_2:
     node-disjoint parts still share the triangles between them, and on the
@@ -740,17 +723,18 @@ def solve_lambda2(
     """
     if grid.interior_count < 2:
         raise ValueError("solve_lambda2 needs at least two interior nodes")
-    comps = _components(grid)
-    # a connected set has no component pair, so its lambda_1 is never needed
-    firsts = [solve_lambda1(c, norm, p, opts) for c in comps] if len(comps) > 1 else [None]
-    pairs = (BipartitionResult(ca.mask, cb.mask, a, b)
-             for (ca, a), (cb, b) in itertools.combinations(zip(comps, firsts), 2))
-    best = min(pairs, key=lambda cand: cand.lambda2, default=None)  # the first least pair
-    for comp, first in zip(comps, firsts):
-        if best is None or first.lam < best.lambda2 * (1.0 - 1e-12):
-            sub = _lambda2_connected(comp, norm, p, opts)
-            if sub is not None and (best is None or sub.lambda2 < best.lambda2):
-                best = sub
+    with _joined():
+        comps = _components(grid)
+        # a connected set has no component pair, so its lambda_1 is never needed
+        firsts = [solve_lambda1(c, norm, p, opts) for c in comps] if len(comps) > 1 else [None]
+        pairs = (BipartitionResult(ca.mask, cb.mask, a, b)
+                 for (ca, a), (cb, b) in itertools.combinations(zip(comps, firsts), 2))
+        best = min(pairs, key=lambda cand: cand.lambda2, default=None)  # the first least pair
+        for comp, first in zip(comps, firsts):
+            if best is None or first.lam < best.lambda2 * (1.0 - 1e-12):
+                sub = _lambda2_connected(comp, norm, p, opts)
+                if sub is not None and (best is None or sub.lambda2 < best.lambda2):
+                    best = sub
     if best is None:
         raise ConvergenceError("no admissible bipartition candidate was found")
     return best

@@ -24,7 +24,7 @@ EUCLIDEAN_DISK = "euclidean_disk"
 # largest grid frame rasterize builds; a smaller h is rejected before any allocation
 MAX_GRID_NODES = 2 ** 22
 
-# 4-connectivity structuring element (nodal domains, boundary ring, interface frontier)
+# 4-connectivity structuring element (boundary ring, interface frontier)
 _FOUR = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 # the mesh's edges, indexed [1 + di, 1 + dj]: 4-neighbours and the (i, j)-(i+1, j+1) cell diagonal
 _MESH = np.array([[1, 1, 0], [1, 1, 1], [0, 1, 1]], dtype=bool)

@@ -274,6 +274,24 @@ def test_nodal_domains_counts(square_grid):
     assert labels.max() == 4
 
 
+def test_nodal_domains_follow_the_mesh_diagonal():
+    # two squares that touch only along the mesh's (i, j)-(i+1, j+1) edge: one component,
+    # and a P1 field positive on all of it is one nodal domain; the other diagonal splits
+    from finsler_spectra.geometry import DomainGrid
+
+    mask = np.zeros((12, 12), dtype=bool)
+    mask[1:6, 1:6] = mask[6:11, 6:11] = True
+    grid = DomainGrid((0.0, 0.0), 1.0 / 16, 12, 12, mask)
+    r = fs.solve_lambda1(grid, fs.euclidean(), 2.0)
+    assert len(fs.components(grid)) == 1 and np.all(r.u.values > 0) and r.u.values.size == 50
+    assert r.nodal_count == 1
+    anti = np.zeros((12, 12), dtype=bool)
+    anti[1:6, 6:11] = anti[6:11, 1:6] = True
+    anti_grid = DomainGrid((0.0, 0.0), 1.0 / 16, 12, 12, anti)
+    field = ScalarField(fs.triangulate(anti_grid), np.ones(50))
+    assert len(fs.components(anti_grid)) == 2 and fs.nodal_domains(field)[0] == 2
+
+
 def test_eigenresult_serialization(square_grid):
     r = fs.solve_lambda1(square_grid, fs.euclidean(), 2.0)
     d = r.to_dict()
@@ -299,23 +317,25 @@ def test_nodal_domains_are_counted_only_when_read(monkeypatch):
     assert r.nodal_count == 1 and len(calls) == 1 and calls[0] is r.u
 
 
-def test_lambda1_rejects_plateau(square_grid):
-    with pytest.raises(ValueError, match="plateau"):
-        fs.solve_lambda1(square_grid, fs.euclidean(), 3.0, plateau=(100, 1e-9))
+@pytest.mark.parametrize("name", ["plateau", "initial"])
+def test_lambda1_rejects_plateau(square_grid, name):
+    # every solve climbs the cold ladder: a plateau setting or a start field, even an
+    # all-zero frame array, is refused by name
+    value = {"plateau": (100, 1e-9), "initial": np.zeros(square_grid.mask.shape)}[name]
+    with pytest.raises(ValueError, match=f"solve_lambda1: {name} is no longer a setting"):
+        fs.solve_lambda1(square_grid, fs.euclidean(), 3.0, **{name: value})
 
 
-def test_lambda1_initial_is_a_frame_array():
-    grid = fs.rasterize(unit_square_spec(), 1.0 / 12)
-    norm = fs.lq_norm(3.0)
-    cold = fs.solve_lambda1(grid, norm, 3.0)
-    for bad in (np.ones(5), cold.u.values, cold.u):
-        with pytest.raises(ValueError, match="initial"):
-            fs.solve_lambda1(grid, norm, 3.0, initial=bad)
-    # an all-zero start takes the cold ladder, a nonzero one a single stage at p
-    zero = fs.solve_lambda1(grid, norm, 3.0, initial=np.zeros(grid.mask.shape))
-    assert zero.to_dict() == cold.to_dict() and zero.u.values.tobytes() == cold.u.values.tobytes()
-    warm = fs.solve_lambda1(grid, norm, 3.0, initial=cold.u.as_grid_array())
-    assert warm.lam == pytest.approx(cold.lam, rel=1e-10) and warm.iterations < cold.iterations
+def _part_solve(grid, norm, p):
+    """solve(mask), lambda_1 on a part mask of grid as a lambda_2 search asks for it, and the
+    list of the masks asked for."""
+    masks = []
+
+    def solve(mask):
+        masks.append(mask)
+        return fs.solve_lambda1(grid.subgrid(mask), norm, p)
+
+    return solve, masks
 
 
 def test_part_solve_in_a_grid_context_triangulates_its_mask_once(monkeypatch):
@@ -333,10 +353,40 @@ def test_part_solve_in_a_grid_context_triangulates_its_mask_once(monkeypatch):
         return triangulate(g)
 
     monkeypatch.setattr(eigensolve, "triangulate", counted_triangulate)
-    solve, _ = eigensolve._part_solver(grid, norm, 3.0, SolverOptions())
+    solve, _ = _part_solve(grid, norm, 3.0)
     with eigensolve._GridContext():
         assert solve(half).iterations > 0
     assert keys == [eigensolve._grid_key(grid.subgrid(half))]
+
+
+@pytest.mark.parametrize("solve, spec, h, norm, triangulations", [
+    (fs.solve_lambda1, unit_square_spec(), 1.0 / 12, fs.lq_norm(3.0), 1),
+    (fs.solve_lambda1, two_disk_spec(), 1.0 / 8, fs.euclidean(), 3),
+    (fs.solve_lambda2, unit_square_spec(), 1.0 / 12, fs.weighted_quadratic(4.0, 1.0), 4),
+], ids=["lambda1-square", "lambda1-two-disks", "lambda2-square"])
+def test_a_direct_solve_triangulates_each_mask_once(monkeypatch, solve, spec, h, norm, triangulations):
+    # a direct call opens a grid context for its length: the ladder's p=2 start, each
+    # component and each split part share the one triangulation kept for their mask
+    from finsler_spectra import eigensolve
+
+    grid = fs.rasterize(spec, h)
+    with eigensolve._GridContext():
+        joined = solve(grid, norm, 3.0)
+    keys, triangulate = [], eigensolve.triangulate
+
+    def counted_triangulate(g):
+        keys.append(eigensolve._grid_key(g))
+        return triangulate(g)
+
+    monkeypatch.setattr(eigensolve, "triangulate", counted_triangulate)
+    result = solve(grid, norm, 3.0)
+    assert len(keys) == len(set(keys)) == triangulations
+    assert eigensolve._CONTEXT.get() is None
+    value = (lambda r: r.lambda2) if solve is fs.solve_lambda2 else (lambda r: r.lam)
+    assert value(result) == value(joined)
+    with pytest.raises(fs.ConvergenceError):
+        solve(grid, norm, 3.0, SolverOptions(max_iter=1))
+    assert eigensolve._CONTEXT.get() is None
 
 
 @pytest.mark.parametrize("family", sorted(ALL_NORMS))
@@ -425,7 +475,7 @@ def test_lambda2_drops_nodal_candidate_when_oracle_fails(monkeypatch, caplog):
     monkeypatch.setattr(eigensolve, "solve_linear_p2", failing_oracle)
     with caplog.at_level("WARNING", logger="finsler_spectra.eigensolve"):
         b = fs.solve_lambda2(grid, norm, 2.0)
-    solve, _ = eigensolve._part_solver(grid, norm, 2.0, SolverOptions())
+    solve, _ = _part_solve(grid, norm, 2.0)
     assert b.lambda2 == eigensolve._greedy_refine(grid, solve, *packing)[0].lambda2
     assert any("nodal" in r.getMessage() and "ConvergenceError" in r.getMessage()
                for r in caplog.records)
@@ -484,7 +534,7 @@ def test_lambda2_drops_a_candidate_whose_refinement_raises(monkeypatch, caplog):
     grid = fs.rasterize(unit_square_spec(), 1.0 / 12)
     norm = fs.euclidean()
     nodal, packing = eigensolve._split_candidates(grid, norm).values()
-    solve, _ = eigensolve._part_solver(grid, norm, 2.0, SolverOptions())
+    solve, _ = _part_solve(grid, norm, 2.0)
     expected = eigensolve._greedy_refine(grid, solve, *packing)[0].lambda2
     _fail_on_masks(monkeypatch, [nodal[0]])
     with caplog.at_level("WARNING", logger="finsler_spectra.eigensolve"):
@@ -524,11 +574,10 @@ def test_lambda2_of_two_disks_keeps_the_component_pair_when_every_split_fails(ca
         f"bipartition candidate dropped: {c[5]}" for c in cands if c[5] is not None]
     assert all(float(c[4]) > b.lambda2 for c in cands if c[5] is None)
     if max_iter == 7:
-        assert len(dropped) == 2 and line[7] == "none"
+        assert len(dropped) == 2 and line[4] == "none"
 
 
-_SEARCH_LINE = re.compile(r"lambda2 search p=(\S+) dofs=(\d+); (.*); part solves requests=(\d+) "
-                          r"hits=(\d+) ran=(\d+); winner=(\w+)$")
+_SEARCH_LINE = re.compile(r"lambda2 search p=(\S+) dofs=(\d+); (.*); winner=(\w+)$")
 _CANDIDATE = re.compile(r"(\w+) (?:start=(\S+) sweeps=(\d+) accepted=(\d+) value=(\S+)|dropped (.+))$")
 
 
@@ -544,18 +593,16 @@ def test_lambda2_search_logs_one_debug_line(monkeypatch, caplog):
 
     grid = fs.rasterize(unit_square_spec(), 1.0 / 12)
     norm = fs.euclidean()
-    factory, requests = eigensolve._part_solver, []
+    refine, requests = eigensolve._greedy_refine, []
 
-    def counted_factory(*args):
-        solve, counts = factory(*args)
-
+    def counted_refine(grid, solve, p1, p2):
         def counted(mask):
             requests.append(mask)
             return solve(mask)
 
-        return counted, counts
+        return refine(grid, counted, p1, p2)
 
-    monkeypatch.setattr(eigensolve, "_part_solver", counted_factory)
+    monkeypatch.setattr(eigensolve, "_greedy_refine", counted_refine)
     with caplog.at_level(logging.DEBUG, logger="finsler_spectra.eigensolve"):
         b = fs.solve_lambda2(grid, norm, 3.0)
     ((line, cands),) = _search_lines(caplog)
@@ -564,9 +611,8 @@ def test_lambda2_search_logs_one_debug_line(monkeypatch, caplog):
     for name, start, sweeps, accepted, value, dropped in cands:
         assert dropped is None and 0 <= int(accepted) <= int(sweeps) <= eigensolve._MAX_SWEEPS
         assert float(value) <= float(start)
-    requested, hits, ran = map(int, line.group(4, 5, 6))
-    assert requested == len(requests) == hits + ran and ran > 0
-    (won,) = [c for c in cands if c[0] == line[7]]
+    assert "part solves" not in line[0] and len(requests) > 0
+    (won,) = [c for c in cands if c[0] == line[4]]
     assert float(won[4]) == b.lambda2 == min(float(c[4]) for c in cands)
 
 
@@ -581,7 +627,7 @@ def test_lambda2_search_line_names_a_dropped_candidate(monkeypatch, caplog):
         b = fs.solve_lambda2(grid, norm, 2.0)
     ((line, cands),) = _search_lines(caplog)
     assert cands[0][0] == "nodal" and cands[0][5].startswith("ConvergenceError: lambda_1 solve")
-    assert cands[1][0] == "packing" and float(cands[1][4]) == b.lambda2 and line[7] == "packing"
+    assert cands[1][0] == "packing" and float(cands[1][4]) == b.lambda2 and line[4] == "packing"
 
 
 class _ScriptedParts:
@@ -686,13 +732,13 @@ def test_interface_search_matches_the_two_solve_search_with_fewer_requests(spec,
     grid = fs.rasterize(spec, 1.0 / 8)
     norm = ALL_NORMS[family]
     for p1, p2 in eigensolve._split_candidates(grid, norm).values():
-        ours, ours_counts = eigensolve._part_solver(grid, norm, p, SolverOptions())
-        ref, ref_counts = eigensolve._part_solver(grid, norm, p, SolverOptions())
+        ours, ours_requests = _part_solve(grid, norm, p)
+        ref, ref_requests = _part_solve(grid, norm, p)
         best, _ = eigensolve._greedy_refine(grid, ours, p1, p2)
         val, q1, q2 = best.lambda2, best.part1, best.part2
         ref_val, ref_q1, ref_q2 = _two_solve_refine(grid, ref, p1, p2)
         assert val == ref_val and np.array_equal(q1, ref_q1) and np.array_equal(q2, ref_q2)
-        assert ours_counts["requests"] < ref_counts["requests"]
+        assert len(ours_requests) < len(ref_requests)
 
 
 def test_a_part_result_is_a_function_of_its_mask():
@@ -703,7 +749,7 @@ def test_a_part_result_is_a_function_of_its_mask():
 
     grid = fs.rasterize(lshape_spec(), 1.0 / 8)
     norm = fs.weighted_quadratic(4.0, 1.0)
-    solve, _ = eigensolve._part_solver(grid, norm, 3.0, SolverOptions())
+    solve, _ = _part_solve(grid, norm, 3.0)
     best, (start, _, accepted) = eigensolve._greedy_refine(
         grid, solve, *eigensolve._split_candidates(grid, norm)["packing"])
     assert accepted == 2 and best.lambda2 < start

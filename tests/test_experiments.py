@@ -711,7 +711,7 @@ def test_grid_context_keeps_reports_byte_identical():
     cfg = ExperimentConfig.from_dict(hks_config({"family": "lq", "q": 3.0}))
     first = report_json(run(cfg))
     assert report_json(run(cfg)) == first
-    # the runner called outside run() has no grid context and computes every grid afresh
+    # the runner called outside run() has no grid context: each solve opens its own
     assert report_json(experiments.run_hks(cfg)) == first
 
 
@@ -749,7 +749,7 @@ def test_grid_context_triangulates_and_factorizes_each_grid_once(monkeypatch):
             c.clear()
         run(cfg)
         assert all(len(c) == len(set(c)) > 1 for c in counts)
-        # without the context the same runner repeats all three
+        # without run()'s context each solve keeps only its own grids: the runner repeats all three
         for c in counts:
             c.clear()
         experiments.run_hks(cfg)
@@ -860,7 +860,7 @@ def test_each_sweep_mask_climbs_each_rung_once_in_a_p_limit_run(monkeypatch):
     from finsler_spectra import eigensolve
 
     stages, sweeps, at = {}, [], {}
-    stage, factory, refine = eigensolve._newton_stage, eigensolve._part_solver, eigensolve._greedy_refine
+    stage, search, refine = eigensolve._newton_stage, eigensolve._lambda2_connected, eigensolve._greedy_refine
 
     def recorded_stage(tri, kkt, norm, p, values, *args):
         out = stage(tri, kkt, norm, p, values, *args)
@@ -869,9 +869,9 @@ def test_each_sweep_mask_climbs_each_rung_once_in_a_p_limit_run(monkeypatch):
         stages[key] = (values, out[0])
         return out
 
-    def recorded_factory(grid, norm, p, opts):
+    def recorded_search(grid, norm, p, opts):
         at["p"] = p
-        return factory(grid, norm, p, opts)
+        return search(grid, norm, p, opts)
 
     def recorded_refine(grid, solve, p1, p2):
         def sweep_solve(mask):
@@ -882,7 +882,7 @@ def test_each_sweep_mask_climbs_each_rung_once_in_a_p_limit_run(monkeypatch):
         return refine(grid, sweep_solve, p1, p2)
 
     monkeypatch.setattr(eigensolve, "_newton_stage", recorded_stage)
-    monkeypatch.setattr(eigensolve, "_part_solver", recorded_factory)
+    monkeypatch.setattr(eigensolve, "_lambda2_connected", recorded_search)
     monkeypatch.setattr(eigensolve, "_greedy_refine", recorded_refine)
     aniso = {"family": "weighted_quadratic", "a1": 4.0, "a2": 1.0}
     cfg = base_cfg(experiment="p_limit", domain=lshape_domain(), norm=aniso, h=1.0 / 8,
@@ -895,15 +895,6 @@ def test_each_sweep_mask_climbs_each_rung_once_in_a_p_limit_run(monkeypatch):
             ladder = eigensolve._exponent_ladder(p)
             ran = [stages[eigensolve._grid_key(part), q] for q in ladder]
             assert all(start is out for (start, _), (_, out) in zip(ran[1:], ran))
-
-
-def test_a_warm_solve_keeps_no_rung():
-    from finsler_spectra import eigensolve
-
-    grid = fs.rasterize(fs.ShapeSpec.from_dict(square_domain()), 1.0 / 8)
-    with eigensolve._GridContext() as ctx:
-        fs.solve_lambda1(grid, fs.euclidean(), 3.0, initial=np.ones(grid.mask.shape))
-    assert ctx.built["rungs"] == ctx.reused["rungs"] == 0 and ctx.built["newton_matrices"] == 1
 
 
 def test_a_kept_rung_that_hit_max_iter_fails_again():
