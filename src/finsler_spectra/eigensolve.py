@@ -21,7 +21,6 @@ import logging
 import math
 import time
 from collections import Counter
-from contextlib import nullcontext
 from contextvars import ContextVar
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Tuple
@@ -47,6 +46,8 @@ _SEED = 0
 # a Newton step whose predicted change of the quotient is below this fraction of
 # it is rounding noise: the stage stops there on "floor"
 _FLOOR = 1e-14
+# the largest residual (or tol, if larger) at which a "floor" stop counts as converged
+_FLOOR_RESIDUAL = 1e-4
 _BACKTRACKS = 10
 _MAX_SWEEPS = 6
 
@@ -66,11 +67,12 @@ class _GridContext:
     matrices of lambda_1's components, keyed by (h, origin, mask shape, mask
     bytes), the p=2 eigenpairs (one eigsh call serves k = 1 and 2), keyed by
     that and the norm, and the cold ladder rungs of solve_lambda1; each under
-    (kind, key) of one store, with read-only arrays.  It is active only inside
-    the ``with`` block: a solve joins the open one (see _joined), so nothing
-    outlives the run or the call that opened it.  _kept is the one path that
-    reads the store.  ``seconds`` sums each kind's build time, a build that
-    triangulates its grid on the way included.
+    (kind, key) of one store, with read-only arrays.  Entered while another is
+    open, it joins that one: ``with`` yields the open context, and the exit
+    undoes nothing.  So nothing outlives the block that opened it, whose exit
+    logs each kind's built and reused counts and ``seconds`` at DEBUG.  _kept
+    is the one path that reads the store.  ``seconds`` sums each kind's build
+    time, a build that triangulates its grid on the way included.
     """
 
     def __init__(self):
@@ -81,21 +83,20 @@ class _GridContext:
         self._token = None
 
     def __enter__(self) -> "_GridContext":
-        self._token = _CONTEXT.set(self)
-        return self
+        if _CONTEXT.get() is None:
+            self._token = _CONTEXT.set(self)
+        return _CONTEXT.get()
 
     def __exit__(self, *exc) -> None:
-        _CONTEXT.reset(self._token)
-        self.kept = {}
+        if self._token is not None:  # the context that opened; one that joined undoes nothing
+            _CONTEXT.reset(self._token)
+            self.kept = {}
+            log.debug("grid context: %s", "; ".join(f"{kind} built={self.built[kind]} reused={self.reused[kind]} "
+                                                    f"build_s={self.seconds[kind]:.4f}" for kind in _KINDS))
 
 
 _CONTEXT: ContextVar[Optional[_GridContext]] = ContextVar("finsler_spectra_grid_context",
                                                           default=None)
-
-
-def _joined():
-    """The open grid context, joined as is, or a new one for the length of a direct solve."""
-    return nullcontext() if _CONTEXT.get() is not None else _GridContext()
 
 
 def _grid_key(grid: DomainGrid):
@@ -473,17 +474,19 @@ def solve_lambda1(
     eigenfunction, any other from the power of two before it in every ladder
     that holds it, so a kept stage is bit for bit a fresh one, and a repeated
     mask runs only the final field evaluation.  ``iterations`` counts the
-    steps of every rung that led to u, kept ones included.  A stage that
-    reaches ``opts.max_iter`` steps raises ConvergenceError, a kept one on
-    every request.  ``initial`` and ``plateau`` are no longer settings and
-    must stay None (bench/tracer.py binds both).
+    steps of every rung that led to u, kept ones included.  A stage, kept or
+    run, raises ConvergenceError unless its quotient is finite and its
+    residual is at most ``opts.tol``, or at most max(opts.tol,
+    _FLOOR_RESIDUAL) for a stop on the rounding floor; so a stage that
+    reaches ``opts.max_iter`` steps raises.  ``initial`` and ``plateau`` are
+    no longer settings and must stay None (bench/tracer.py binds both).
     """
     if not 1.0 < p < np.inf:
         raise ValueError("p must lie in (1, inf)")
     for name, value in (("initial", initial), ("plateau", plateau)):
         if value is not None:
             raise ValueError(f"solve_lambda1: {name} is no longer a setting, got a {type(value).__name__}")
-    with _joined():
+    with _GridContext():
         tri = _triangulation(grid)
         best, total = None, 0
         parts = _components(grid)
@@ -500,7 +503,8 @@ def solve_lambda1(
                     log.debug("newton stage kept p=%g dofs=%d steps=%d stop=%s residual=%.3e",
                               q, sub.ndof, steps, reason, res)
                 total += steps
-                if reason == "maxiter":
+                bound = max(opts.tol, _FLOOR_RESIDUAL) if reason == "floor" else opts.tol
+                if not (math.isfinite(lam) and res <= bound):
                     raise ConvergenceError(f"lambda_1 solve did not converge: p={q}, dofs={sub.ndof}, "
                                            f"residual={res:.3e} after {total} iterations")
             if best is None or lam < best[0]:
@@ -723,7 +727,7 @@ def solve_lambda2(
     """
     if grid.interior_count < 2:
         raise ValueError("solve_lambda2 needs at least two interior nodes")
-    with _joined():
+    with _GridContext():
         comps = _components(grid)
         # a connected set has no component pair, so its lambda_1 is never needed
         firsts = [solve_lambda1(c, norm, p, opts) for c in comps] if len(comps) > 1 else [None]

@@ -1,8 +1,8 @@
 """Experiment orchestration: configs, verification runs, reports, serialization.
 
 Each runner computes the quantities of one verification experiment
-(Faber-Krahn, Hong-Krahn-Szego, scaling, the p -> infinity limits, distance
-identities, norm duality), collects per-p records, and emits inequality
+(lambda_1, lambda_2, Faber-Krahn, Hong-Krahn-Szego, the p -> infinity limits,
+distance identities, norm duality), collects per-p records, and emits inequality
 checks whose pass flags are pure functions of the serialized left/right
 values.  Reports serialize deterministically: re-running a config under the
 same BLAS thread count yields byte-identical files (wall-clock timings are
@@ -357,13 +357,11 @@ _RUNNERS = {
 
 
 def run(cfg: ExperimentConfig) -> Report:
-    """Run one experiment; triangulations, Newton matrices and p=2 eigenpairs
-    that repeat within the run are computed once (see eigensolve._GridContext)."""
+    """Run one experiment in the open grid context, or in one opened for the run (see eigensolve._GridContext):
+    triangulations, Newton matrices and p=2 eigenpairs that repeat in the context are computed once."""
     t0 = time.perf_counter()
-    with eig._GridContext() as ctx:
+    with eig._GridContext():
         rep = _RUNNERS[cfg.experiment](cfg)
-    log.debug("grid context: %s", "; ".join(f"{kind} built={ctx.built[kind]} reused={ctx.reused[kind]} "
-                                            f"build_s={ctx.seconds[kind]:.4f}" for kind in eig._KINDS))
     log.info("experiment %s finished in %.2fs (passed=%s)",
              cfg.experiment, time.perf_counter() - t0, rep.passed)
     return rep

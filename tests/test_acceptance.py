@@ -17,7 +17,7 @@ from finsler_spectra.distance import (
     sup_rayleigh,
     two_wulff_radius,
 )
-from finsler_spectra.eigensolve import SolverOptions
+from finsler_spectra.eigensolve import SolverOptions, _GridContext
 from finsler_spectra.experiments import (
     ExperimentConfig,
     report_csv,
@@ -113,11 +113,14 @@ def test_criterion_03_analytic_eigenvalues(square_128):
 
 @pytest.fixture(scope="module")
 def fk_matrix_reports():
+    # every domain is compared with the same unit Wulff shape per (norm, p): the runs join one
+    # grid context, so each shape's ladder rungs are solved once for the four domains
     reports = {}
-    for dname, spec_fn in MATRIX_DOMAINS.items():
-        for nname, norm in ALL_NORMS.items():
-            cfg = cfg_for("faber_krahn", spec_fn(), norm, MATRIX_H, MATRIX_P, MATRIX_SOLVER)
-            reports[dname, nname] = run(cfg)
+    with _GridContext():
+        for dname, spec_fn in MATRIX_DOMAINS.items():
+            for nname, norm in ALL_NORMS.items():
+                cfg = cfg_for("faber_krahn", spec_fn(), norm, MATRIX_H, MATRIX_P, MATRIX_SOLVER)
+                reports[dname, nname] = run(cfg)
     return reports
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 import re
@@ -901,6 +902,29 @@ def test_ray_trials_keep_lambda1(family, p):
     assert r.lam == pytest.approx(LSHAPE_LAMBDA1[family, p], rel=1e-12)
 
 
+@pytest.mark.parametrize("family", sorted(ALL_NORMS))
+def test_lshape_images_under_the_mirror_and_the_half_turn(family):
+    # every norm here is symmetric under x -> -x, but each cell is cut along its (i, j)-(i+1, j+1)
+    # diagonal: the half turn maps the mesh to itself, the mirror does not, so a mirror gap is an
+    # O(h) orientation error, and exactly 0 when p = q, where the energy is a sum over axis edges
+    norm = ALL_NORMS[family]
+    gaps = {}
+    for h in (1.0 / 16, 1.0 / 32):
+        grid = fs.rasterize(lshape_spec(), h)
+        mirror = dataclasses.replace(grid, mask=grid.mask[::-1].copy())
+        turn = dataclasses.replace(grid, mask=grid.mask[::-1, ::-1].copy())
+        for p in (1.5, 2.0, 3.0, 8.0):
+            lam = fs.solve_lambda1(grid, norm, p).lam
+            assert fs.solve_lambda1(turn, norm, p).lam == pytest.approx(lam, rel=1e-12, abs=0.0)
+            gaps[h, p] = fs.solve_lambda1(mirror, norm, p).lam / lam - 1.0
+    for p in (1.5, 2.0, 3.0, 8.0):
+        coarse, fine = gaps[1.0 / 16, p], gaps[1.0 / 32, p]
+        if p == norm.q:
+            assert abs(coarse) <= 1e-12 and abs(fine) <= 1e-12
+        else:
+            assert 1e-4 < abs(coarse) and abs(fine) < abs(coarse)
+
+
 def test_descent_stages_log_one_debug_line_each(caplog):
     grid = fs.rasterize(lshape_spec(), 1.0 / 16)
     with caplog.at_level(logging.DEBUG, logger="finsler_spectra.eigensolve"):
@@ -909,9 +933,11 @@ def test_descent_stages_log_one_debug_line_each(caplog):
                          r"trials=(\d+) parabola=(\d+) mu=(\S+) stop=(tol|floor|maxiter) residual=(\S+)$")
     built = re.compile(rf"newton matrix dofs={grid.interior_count} band=(\d+)$")
     messages = [rec.getMessage() for rec in caplog.records]
-    # the one connected component's Newton matrix is built once, before its stages
+    # the one connected component's Newton matrix is built once, before its stages, and the
+    # grid context that the direct call opened logs its line when the call returns
     assert built.match(messages[0]) and 0 < int(built.match(messages[0])[1]) < grid.interior_count
-    stages = [pattern.match(message) for message in messages[1:]]
+    assert messages[-1].startswith("grid context: ")
+    stages = [pattern.match(message) for message in messages[1:-1]]
     assert all(stages) and len(stages) == 2   # one Newton stage per rung: p=2, then p=3
     assert [float(m[1]) for m in stages] == [2.0, 3.0]
     assert all(int(m[2]) == grid.interior_count for m in stages)
@@ -1012,6 +1038,20 @@ def test_a_stage_below_the_rounding_floor_stops_on_floor(caplog, family, p):
     assert len(stages) == len(_exponent_ladder(p))
     assert all(1 <= int(steps) <= 6 and reason == "floor" for steps, reason in stages)
     assert r.lam == pytest.approx(fs.solve_lambda1(grid, norm, p).lam, rel=1e-15)
+
+
+def test_a_floor_stop_far_from_stationarity_raises_kept_or_run():
+    # at p = 1.01 the last stage stops on the rounding floor at residual 1.57, far above
+    # max(tol, _FLOOR_RESIDUAL): the solve raises, and so does its kept rung when asked again
+    from finsler_spectra import eigensolve
+
+    grid = fs.rasterize(unit_square_spec(), 1.0 / 16)
+    with eigensolve._GridContext() as ctx:
+        for _ in range(2):
+            with pytest.raises(fs.ConvergenceError, match=r"did not converge: p=1\.01, dofs=225, "
+                                                          r"residual=1\.570e\+00 after 662 iterations"):
+                fs.solve_lambda1(grid, fs.euclidean(), 1.01)
+    assert ctx.built["rungs"] == 2 and ctx.reused["rungs"] == 2
 
 
 def test_newton_step_is_none_when_the_border_vanishes(monkeypatch):

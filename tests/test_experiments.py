@@ -409,6 +409,18 @@ def test_cli_run_exits_3_with_one_line_when_a_solve_does_not_converge(tmp_path, 
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("p, rung", [(1000.0, "512.0"), (1.01, "1.01")])
+def test_cli_run_exits_3_when_a_stage_stops_far_from_stationarity(tmp_path, capsys, p, rung):
+    # p=1000: the 512 rung overflows and stops on the rounding floor at residual inf (the
+    # report held lambda Infinity and residual NaN); p=1.01: one stage stops there at 1.57
+    cfg_path = tmp_path / "square.json"
+    cfg_path.write_text(json.dumps(_valid_config(p_list=[p])))
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"finsler-spectra: {cfg_path}: lambda_1 solve did not converge: p={rung}, dofs=225, ")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("where", ["--out", "config"])
 def test_cli_run_refuses_an_output_path_that_is_a_file_before_running(tmp_path, capsys, monkeypatch, where):
     taken = tmp_path / "taken.txt"
@@ -954,6 +966,40 @@ def test_grid_context_ends_with_the_run(monkeypatch):
     assert len(seen) == 3 and len({id(c) for c in seen}) == 3 and None not in seen
     assert eigensolve._CONTEXT.get() is None
     assert not any(kept for c in seen for kept in c.kept.values())
+
+
+def test_a_run_inside_an_open_grid_context_joins_it(monkeypatch, caplog):
+    from finsler_spectra import eigensolve, experiments
+
+    caplog.set_level(logging.DEBUG, logger="finsler_spectra")
+    cfg = ExperimentConfig.from_dict(dict(hks_config(), p_list=[2.0, 3.0]))
+    alone = report_json(run(cfg))
+    seen, run_hks = [], experiments.run_hks
+
+    def spy(c):
+        seen.append(eigensolve._CONTEXT.get())
+        return run_hks(c)
+
+    def lines():
+        return [r.getMessage() for r in caplog.records if r.getMessage().startswith("grid context:")]
+
+    monkeypatch.setitem(experiments._RUNNERS, "hks", spy)
+    caplog.clear()
+    reports, built = [], []
+    with eigensolve._GridContext() as ctx:
+        for _ in range(2):
+            reports.append(report_json(run(cfg)))
+            built.append(dict(ctx.built))
+            assert eigensolve._CONTEXT.get() is ctx
+        assert lines() == []
+    assert seen == [ctx, ctx] and reports == [alone, alone]
+    # the second run builds nothing: every grid value and rung it needs is a context hit
+    assert built[0] == built[1] and built[0]["rungs"] > 0
+    (line,) = lines()
+    assert f"rungs built={ctx.built['rungs']} reused={ctx.reused['rungs']} " in line
+    assert eigensolve._CONTEXT.get() is None
+    fs.solve_lambda1(cfg.grid, cfg.norm, 2.0)
+    assert eigensolve._CONTEXT.get() is None and len(lines()) == 2
 
 
 def test_grid_context_logs_one_debug_line_per_run(tmp_path, monkeypatch, capsys):
